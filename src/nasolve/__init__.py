@@ -49,11 +49,9 @@ from .problems import (
     with_ground_truth,
 )
 from .solvers import (
-    LineSearchExhausted,
     MethodId,
     SafeguardDecision,
     anderson_combine,
-    armijo_search,
     gamma_safeguard,
     newton_anderson_solve,
     newton_solve,

@@ -58,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--keep-history", action="store_true", help="retain iterate vectors")
-    parser.add_argument("--parallel", action="store_true", help="run methods concurrently")
     return parser
 
 
@@ -79,7 +78,7 @@ def main(argv=None) -> int:
 
     try:
         if args.problem == "registry":
-            reports = run_registry(methods, cfg, parallel=args.parallel)
+            reports = run_registry(methods, cfg)
             write_summary(reports, f"{args.out}/registry_summary.{args.format}", args.format)
             for report in reports:
                 if any(not row.skipped for row in report.rows):
@@ -94,7 +93,7 @@ def main(argv=None) -> int:
                 config=cfg,
                 keep_history=args.keep_history,
             )
-            reports = [run_experiment(spec, parallel=args.parallel)]
+            reports = [run_experiment(spec)]
             emit_report(reports[0], args.format, args.out)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

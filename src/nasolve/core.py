@@ -22,6 +22,14 @@ STEP_KINDS = (
     "projected_gradient",
 )
 
+# why a solve stopped, recorded in SolveOutcome.status
+STATUSES = (
+    "converged",
+    "max_iters",
+    "singular_jacobian",
+    "nonfinite",
+)
+
 
 @dataclass(frozen=True)
 class NonlinearProblem:
@@ -63,20 +71,15 @@ class NonlinearProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rule, safeguard parameter and line-search constants.
+    """Stopping rule and safeguard parameter.
 
     Defaults follow the benchmark protocol: stop when ||f|| < 1e-8 or after
-    50 iterations; Armijo uses damping 1e-4, initial step 1/2 shrunk by 3/10,
-    and only runs when a step fails to cut the residual by a factor 0.99.
+    50 iterations.  The line-search constants are fixed in nasolve.solvers.
     """
 
     tol: float = 1e-8
     max_iters: int = 50
     r: float = 0.9
-    ls_trigger: float = 0.99
-    ls_damping: float = 1e-4
-    ls_step0: float = 0.5
-    ls_shrink: float = 0.3
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -85,12 +88,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0.0 < self.r < 1.0:
             raise ValueError(f"safeguard parameter r must lie in (0,1), got {self.r}")
-        if not 0.0 < self.ls_damping < 1.0:
-            raise ValueError(f"ls_damping must lie in (0,1), got {self.ls_damping}")
-        if not 0.0 < self.ls_step0 <= 1.0:
-            raise ValueError(f"ls_step0 must lie in (0,1], got {self.ls_step0}")
-        if not 0.0 < self.ls_shrink < 1.0:
-            raise ValueError(f"ls_shrink must lie in (0,1), got {self.ls_shrink}")
 
 
 @dataclass
@@ -118,6 +115,8 @@ class SolveOutcome:
     """Result of a solve.  ``trace`` always holds per-step scalars; the full
     iterate list is retained only when requested (large-n histories are big).
 
+    ``status`` is one of STATUSES and says why the run stopped; ``f_evals``
+    counts the residual evaluations the run made, start point included.
     The residual history of a run is ``[r.res_norm for r in trace] + [final_res]``.
     """
 
@@ -125,6 +124,8 @@ class SolveOutcome:
     iterations: int
     final_res: float
     x: np.ndarray
+    status: str
+    f_evals: int
     trace: list[IterationRecord] = field(default_factory=list)
     iterate_history: list[np.ndarray] | None = None
     wall_time: float = 0.0

@@ -1,19 +1,12 @@
-"""Experiment runner: executes method x problem cells, counts function
-evaluations, and serializes summary tables and per-method residual histories.
-
-Cost model: every method evaluates the residual once at the start and once
-per iteration (the new iterate's residual doubles as the convergence check
-and line-search trigger), plus one evaluation per backtracking trial.  For
-plain and gamma-safeguarded Newton-Anderson this reduces to iterations + 1.
-"""
+"""Experiment runner: executes method x problem cells and serializes summary
+tables and per-method residual histories."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import NonlinearProblem, SolveOutcome, SolverConfig
@@ -88,10 +81,6 @@ def resolve_problem(spec: ExperimentSpec) -> NonlinearProblem:
     return registry_entry(spec.problem)
 
 
-def _count_f_evals(outcome: SolveOutcome) -> int:
-    return outcome.iterations + 1 + sum(rec.ls_evals for rec in outcome.trace)
-
-
 def _run_method(p: NonlinearProblem, method: MethodId, spec: ExperimentSpec) -> MethodRow:
     try:
         outcome = solve(p, method, spec.config, keep_history=spec.keep_history)
@@ -113,7 +102,7 @@ def _run_method(p: NonlinearProblem, method: MethodId, spec: ExperimentSpec) -> 
         method=method,
         converged=outcome.converged,
         iterations=outcome.iterations,
-        f_evals=_count_f_evals(outcome),
+        f_evals=outcome.f_evals,
         final_res=outcome.final_res,
         lm_count=lm,
         ls_count=ls,
@@ -122,21 +111,15 @@ def _run_method(p: NonlinearProblem, method: MethodId, spec: ExperimentSpec) -> 
     )
 
 
-def run_experiment(spec: ExperimentSpec, parallel: bool = False) -> RunReport:
+def run_experiment(spec: ExperimentSpec) -> RunReport:
     """Run every method of the spec on its problem from the same start."""
     p = resolve_problem(spec)
-    if parallel and len(spec.methods) > 1:
-        with ThreadPoolExecutor(max_workers=len(spec.methods)) as pool:
-            rows = list(pool.map(lambda m: _run_method(p, m, spec), spec.methods))
-    else:
-        rows = [_run_method(p, m, spec) for m in spec.methods]
-    return RunReport(problem=p.name, rows=rows)
+    return RunReport(problem=p.name, rows=[_run_method(p, m, spec) for m in spec.methods])
 
 
 def run_registry(
     methods,
     config: SolverConfig | None = None,
-    parallel: bool = False,
     names=None,
 ) -> list[RunReport]:
     """Run the method list over the registry; untranscribed entries come back
@@ -148,7 +131,7 @@ def run_registry(
     for name in names or REGISTRY_NAMES:
         try:
             spec = ExperimentSpec(problem=name, methods=tuple(methods), config=config)
-            reports.append(run_experiment(spec, parallel=parallel))
+            reports.append(run_experiment(spec))
         except ProblemUnavailable as exc:
             rows = [
                 MethodRow(
@@ -299,8 +282,3 @@ def compare_table(reports: list[RunReport]) -> str:
         out.write("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())
         out.write("\n")
     return out.getvalue()
-
-
-def with_overrides(cfg: SolverConfig, **kwargs) -> SolverConfig:
-    """SolverConfig with the given fields replaced."""
-    return replace(cfg, **kwargs)

@@ -14,6 +14,7 @@ where the Jacobian is invertible when the root is singular.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -47,19 +48,6 @@ class SafeguardDecision:
     lam: float
     took_newton_step: bool
     beta: float
-
-
-class LineSearchExhausted(Exception):
-    """Armijo search ran out of backtracking trials.
-
-    Carries the deepest trial point so a tolerant caller can proceed from it.
-    """
-
-    def __init__(self, evals: int, x_last: np.ndarray, f_last: np.ndarray):
-        super().__init__(f"no acceptable step after {evals} trials")
-        self.evals = evals
-        self.x_last = x_last
-        self.f_last = f_last
 
 
 def newton_step(p: NonlinearProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,141 +88,116 @@ def gamma_safeguard(
     return SafeguardDecision(lam=lam, took_newton_step=False, beta=beta)
 
 
-def _merit_slope(fx: np.ndarray, jac, d: np.ndarray) -> float:
-    # directional derivative of g(x) = ||f(x)||^2 along d
-    return 2.0 * float(fx @ jac.matvec(d))
+# Armijo constants on the merit g(x) = ||f(x)||^2.  A Newton-Anderson step at
+# k >= 1, or an LM candidate, that fails to cut ||f|| by LS_TRIGGER starts a
+# search; a trial is accepted when it decreases g by at least LS_DAMPING times
+# the linear prediction.  The Newton-Anderson search starts at LS_STEP0 and
+# shrinks by LS_SHRINK per trial.
+LS_TRIGGER = 0.99
+LS_DAMPING = 1e-4
+LS_STEP0 = 0.5
+LS_SHRINK = 0.3
 
 
-def _armijo(p, x, d, fx, jac, cfg: SolverConfig, step0: float, j_max: int):
-    """Backtracking on g(x) = ||f||^2; returns (x_new, f_new, evals).
+def _backtrack(residual, trial_at, bound, step0: float, shrink: float, trials: int):
+    """Backtracking on g = ||f||^2 over the steps s = step0 * shrink^j,
+    j = 0..trials-1; returns (x, f(x), evals).
 
-    Raises LineSearchExhausted when no trial step in {step0 * shrink^j,
-    j = 0..j_max} satisfies the sufficient-decrease condition.
+    ``trial_at(s)`` is the trial point of step s and ``bound(s, trial)`` the
+    largest merit it may have to be accepted.  The first trial within its
+    bound is returned.  When every trial fails, the one of least merit is
+    returned, a later trial winning ties, so a search whose merit keeps
+    falling proceeds from its deepest trial.
     """
-    g0 = float(fx @ fx)
-    slope = _merit_slope(fx, jac, d)
-    evals = 0
     s = step0
-    trial, f_trial = x, fx
-    for _ in range(j_max + 1):
-        trial = x + s * d
-        f_trial = p.residual(trial)
-        evals += 1
-        if float(f_trial @ f_trial) <= g0 + cfg.ls_damping * s * slope:
-            return trial, f_trial, evals
-        s *= cfg.ls_shrink
-    raise LineSearchExhausted(evals, trial, f_trial)
+    best = None
+    for j in range(trials):
+        trial = trial_at(s)
+        f_trial = residual(trial)
+        g_trial = float(f_trial @ f_trial)
+        if g_trial <= bound(s, trial):
+            return trial, f_trial, j + 1
+        if best is None or g_trial <= best[2]:
+            best = (trial, f_trial, g_trial)
+        s *= shrink
+    return best[0], best[1], trials
 
 
-def armijo_search(
-    p: NonlinearProblem,
-    x: np.ndarray,
-    d: np.ndarray,
-    cfg: SolverConfig,
-    step0: float,
-    j_max: int = 30,
-) -> tuple[np.ndarray, int]:
-    """Armijo backtracking along d from x.
+def _stop_status(res: float, tol: float) -> str | None:
+    if res < tol:
+        return "converged"
+    if not math.isfinite(res):
+        return "nonfinite"
+    return None
 
-    Finds the smallest j with g(x + s d) <= g(x) + damping * s * g'(x)^T d,
-    s = step0 * shrink^j.  Returns the accepted point and the number of
-    merit-function evaluations spent on trials (the baseline g(x) is assumed
-    already known by the caller and is not counted).
+
+def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) -> SolveOutcome:
+    """The iteration every method shares, from ``start`` until a status in
+    core.STATUSES applies.
+
+    ``step(k, x, fx, res, residual)`` returns the IterationRecord of step k and
+    the accepted iterate with its residual; it evaluates f only through
+    ``residual``, which counts the calls into ``SolveOutcome.f_evals``.  A
+    SingularMatrix raised by a step ends the run before that step is recorded.
     """
-    fx = p.residual(x)
-    jac = p.jacobian(x)
-    x_new, _, evals = _armijo(p, x, d, fx, jac, cfg, step0, j_max)
-    return x_new, evals
+    t0 = time.perf_counter()
+    f_evals = 0
 
+    def residual(v):
+        nonlocal f_evals
+        f_evals += 1
+        return p.residual(v)
 
-def _outcome(converged, trace, final_res, x, history, t0):
+    x = start.copy()
+    fx = residual(x)
+    res = float(np.linalg.norm(fx))
+    trace: list[IterationRecord] = []
+    history = [x.copy()] if keep_history else None
+    status = _stop_status(res, cfg.tol)
+    if status is None:
+        status = "max_iters"
+        for k in range(cfg.max_iters):
+            try:
+                rec, x, fx = step(k, x, fx, res, residual)
+            except SingularMatrix:
+                status = "singular_jacobian"
+                break
+            trace.append(rec)
+            res = float(np.linalg.norm(fx))
+            if history is not None:
+                history.append(x.copy())
+            stop = _stop_status(res, cfg.tol)
+            if stop is not None:
+                status = stop
+                break
     return SolveOutcome(
-        converged=converged,
+        converged=status == "converged",
         iterations=len(trace),
-        final_res=final_res,
+        final_res=res,
         x=x,
+        status=status,
+        f_evals=f_evals,
         trace=trace,
         iterate_history=history,
         wall_time=time.perf_counter() - t0,
     )
 
 
-def newton_solve(
-    p: NonlinearProblem, cfg: SolverConfig, keep_history: bool = False
-) -> SolveOutcome:
-    """Plain Newton iteration x_{k+1} = x_k + w_{k+1} until ||f|| < tol.
-
-    A singular Jacobian or the iteration cap yields a normal non-converged
-    outcome rather than an error.
-    """
-    t0 = time.perf_counter()
-    x = p.start.copy()
-    fx = p.residual(x)
-    res = float(np.linalg.norm(fx))
-    trace: list[IterationRecord] = []
-    history = [x.copy()] if keep_history else None
-    if res < cfg.tol:
-        return _outcome(True, trace, res, x, history, t0)
-    for k in range(cfg.max_iters):
-        try:
-            w = p.jacobian(x).solve(-fx)
-        except SingularMatrix:
-            break
-        trace.append(
-            IterationRecord(
-                k=k, res_norm=res, step_norm=float(np.linalg.norm(w)),
-                gamma_raw=0.0, lam=1.0, gamma_used=0.0, theta=1.0,
-                step_kind="newton", ls_evals=0,
-            )
-        )
-        x = x + w
-        fx = p.residual(x)
-        res = float(np.linalg.norm(fx))
-        if history is not None:
-            history.append(x.copy())
-        if res < cfg.tol:
-            return _outcome(True, trace, res, x, history, t0)
-    return _outcome(False, trace, res, x, history, t0)
-
-
-def newton_anderson_solve(
-    p: NonlinearProblem,
-    cfg: SolverConfig,
-    safeguard: bool = False,
-    linesearch: bool = False,
-    keep_history: bool = False,
-) -> SolveOutcome:
-    """Depth-1 Newton-Anderson; the first step is always plain Newton.
-
-    With ``safeguard`` the extrapolation coefficient is rescaled per
-    gamma_safeguard; degenerate steps (w_{k+1} == w_k) silently fall back to
-    Newton.  With ``linesearch`` a step at k >= 1 that fails to reduce the
-    residual by the trigger factor is replaced by an Armijo search along the
-    combined direction; a search that exhausts its trials proceeds from its
-    deepest trial point (the search direction requires the previous iterate
-    pair, so the mandatory first Newton step is never searched).
-    """
-    t0 = time.perf_counter()
-    x = p.start.copy()
-    fx = p.residual(x)
-    res = float(np.linalg.norm(fx))
-    trace: list[IterationRecord] = []
-    history = [x.copy()] if keep_history else None
-    if res < cfg.tol:
-        return _outcome(True, trace, res, x, history, t0)
-
+def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, anderson, safeguard, linesearch):
+    """Step function of depth-1 Newton-Anderson for _drive, as described in
+    newton_anderson_solve.  Without ``anderson`` every step is plain Newton,
+    x_{k+1} = x_k + w_{k+1}, and no extrapolation coefficient is computed."""
     x_prev: np.ndarray | None = None
     w_prev: np.ndarray | None = None
-    for k in range(cfg.max_iters):
-        try:
-            jac = p.jacobian(x)
-            w = jac.solve(-fx)
-        except SingularMatrix:
-            break
+
+    def step(k, x, fx, res, residual):
+        nonlocal x_prev, w_prev
+        jac = p.jacobian(x)
+        w = jac.solve(-fx)
         w_norm = float(np.linalg.norm(w))
 
         gamma_raw, lam, gamma_used, theta, kind = 0.0, 1.0, 0.0, 1.0, "newton"
-        if k > 0:
+        if anderson and k > 0:
             try:
                 gamma_raw = lstsq_gamma(w, w_prev)
             except DegenerateSteps:
@@ -260,37 +223,31 @@ def newton_anderson_solve(
             x_new = x + w
             d = w
 
-        f_new = p.residual(x_new)
-        res_new = float(np.linalg.norm(f_new))
+        f_new = residual(x_new)
         ls_evals = 0
         # the search direction needs the (x_{k-1}, w_k) history, so the
         # mandatory first Newton step is never line-searched
-        if linesearch and k > 0 and res_new > cfg.ls_trigger * res:
-            try:
-                x_new, f_new, ls_evals = _armijo(
-                    p, x, d, fx, jac, cfg, cfg.ls_step0, j_max=30
-                )
-            except LineSearchExhausted as exc:
-                # tolerant harness behavior: proceed from the deepest trial
-                x_new, f_new, ls_evals = exc.x_last, exc.f_last, exc.evals
-            res_new = float(np.linalg.norm(f_new))
+        if linesearch and k > 0 and float(np.linalg.norm(f_new)) > LS_TRIGGER * res:
+            g0 = float(fx @ fx)
+            slope = 2.0 * float(fx @ jac.matvec(d))  # g'(x)^T d
+            x_new, f_new, ls_evals = _backtrack(
+                residual,
+                lambda s: x + s * d,
+                lambda s, trial: g0 + LS_DAMPING * s * slope,
+                LS_STEP0, LS_SHRINK, 31,
+            )
             if kind == "anderson":
                 kind = "anderson_linesearch"
 
-        trace.append(
-            IterationRecord(
-                k=k, res_norm=res, step_norm=w_norm,
-                gamma_raw=gamma_raw, lam=lam, gamma_used=gamma_used, theta=theta,
-                step_kind=kind, ls_evals=ls_evals,
-            )
-        )
         x_prev, w_prev = x, w
-        x, fx, res = x_new, f_new, res_new
-        if history is not None:
-            history.append(x.copy())
-        if res < cfg.tol:
-            return _outcome(True, trace, res, x, history, t0)
-    return _outcome(False, trace, res, x, history, t0)
+        rec = IterationRecord(
+            k=k, res_norm=res, step_norm=w_norm,
+            gamma_raw=gamma_raw, lam=lam, gamma_used=gamma_used, theta=theta,
+            step_kind=kind, ls_evals=ls_evals,
+        )
+        return rec, x_new, f_new
+
+    return step
 
 
 MU_FLOOR = 1e-16  # keeps the regularized normal equations positive definite
@@ -300,50 +257,28 @@ MU_FLOOR = 1e-16  # keeps the regularized normal equations positive definite
 MU_SCALE = 1e-8
 
 
-def projected_lm_solve(
-    p: NonlinearProblem,
-    cfg: SolverConfig,
-    keep_history: bool = False,
-    mu_scale: float = MU_SCALE,
-) -> SolveOutcome:
-    """Projected Levenberg-Marquardt with line-search and projected-gradient
-    fallbacks, for problems with (optional) box constraints.
+def _projected_lm_step(p: NonlinearProblem, project):
+    """Step function of projected Levenberg-Marquardt for _drive.
 
-    Each iteration solves (J^T J + mu I) d = -J^T f with mu proportional to
+    Each step solves (J^T J + mu I) d = -J^T f with mu proportional to
     ||f||^2 and projects the candidate onto the box.  When the regularized
     normal equations are still numerically singular the solve retries with
     full ||f||^2 damping.  The candidate is accepted as an LM step when it
-    reduces the merit g = ||f||^2 by the factor trigger^2; otherwise an
-    Armijo search runs along the projected direction, and if that direction
+    cuts ||f|| by LS_TRIGGER; otherwise an Armijo search with the classical
+    halving schedule runs along the projected direction, and if that direction
     is not a descent direction a projected gradient step is taken instead.
-    LM backtracking uses the classical halving schedule.
     """
-    t0 = time.perf_counter()
-    if p.bounds is not None:
-        lo, hi = p.bounds
-    else:
-        lo, hi = -np.inf, np.inf
 
-    def project(v):
-        return np.clip(v, lo, hi)
-
-    x = project(p.start.copy())
-    fx = p.residual(x)
-    res = float(np.linalg.norm(fx))
-    trace: list[IterationRecord] = []
-    history = [x.copy()] if keep_history else None
-    if res < cfg.tol:
-        return _outcome(True, trace, res, x, history, t0)
-
-    for k in range(cfg.max_iters):
+    def step(k, x, fx, res, residual):
         jac = p.jacobian(x).to_dense()
         grad = 2.0 * (jac.T @ fx)
         normal = jac.T @ jac
         rhs = -(jac.T @ fx)
+        g0 = res * res
         # the subproblem matrix is positive definite for mu > 0, so factor by
         # Cholesky and bump the damping if conditioning defeats it numerically
         d = None
-        for mu in (max(mu_scale * res * res, MU_FLOOR), res * res, 1.0):
+        for mu in (max(MU_SCALE * res * res, MU_FLOOR), res * res, 1.0):
             try:
                 c, low = scipy.linalg.cho_factor(
                     normal + mu * np.eye(p.dim), check_finite=False
@@ -354,84 +289,87 @@ def projected_lm_solve(
                 continue
 
         ls_evals = 0
-        x_new = f_new = None
+        kind = "projected_gradient"
         if d is not None:
             cand = project(x + d)
-            f_cand = p.residual(cand)
-            if float(np.linalg.norm(f_cand)) <= cfg.ls_trigger * res:
+            f_cand = residual(cand)
+            if float(np.linalg.norm(f_cand)) <= LS_TRIGGER * res:
                 kind = "lm"
                 x_new, f_new = cand, f_cand
             else:
-                step = cand - x  # feasible direction: the box is convex
-                slope = float(grad @ step)
+                direction = cand - x  # feasible direction: the box is convex
+                slope = float(grad @ direction)
                 if slope < 0.0:
                     kind = "lm_linesearch"
-                    x_new, f_new, ls_evals = _lm_backtrack(
-                        p, x, step, slope, res * res, cfg.ls_damping
+                    x_new, f_new, ls_evals = _backtrack(
+                        residual,
+                        lambda s: x + s * direction,
+                        lambda s, trial: g0 + LS_DAMPING * s * slope,
+                        0.5, 0.5, 30,
                     )
-                else:
-                    kind = "projected_gradient"
-        else:
-            kind = "projected_gradient"
-
-        if x_new is None:
-            x_new, f_new, ls_evals = _projected_gradient_step(
-                p, x, grad, project, res * res, cfg.ls_damping
+        if kind == "projected_gradient":
+            # backtracked step along the projected steepest-descent arc
+            x_new, f_new, ls_evals = _backtrack(
+                residual,
+                lambda t: project(x - t * grad),
+                lambda t, trial: g0 + LS_DAMPING * float(grad @ (trial - x)),
+                1.0, 0.5, 60,
             )
 
-        trace.append(
-            IterationRecord(
-                k=k, res_norm=res, step_norm=float(np.linalg.norm(x_new - x)),
-                gamma_raw=0.0, lam=1.0, gamma_used=0.0, theta=1.0,
-                step_kind=kind, ls_evals=ls_evals,
-            )
+        rec = IterationRecord(
+            k=k, res_norm=res, step_norm=float(np.linalg.norm(x_new - x)),
+            gamma_raw=0.0, lam=1.0, gamma_used=0.0, theta=1.0,
+            step_kind=kind, ls_evals=ls_evals,
         )
-        x, fx = x_new, f_new
-        res = float(np.linalg.norm(fx))
-        if history is not None:
-            history.append(x.copy())
-        if res < cfg.tol:
-            return _outcome(True, trace, res, x, history, t0)
-    return _outcome(False, trace, res, x, history, t0)
+        return rec, x_new, f_new
+
+    return step
 
 
-def _lm_backtrack(p, x, step, slope, g0, damping, j_max=30):
-    """Halving backtracking along a feasible descent direction.
+def newton_solve(
+    p: NonlinearProblem, cfg: SolverConfig, keep_history: bool = False
+) -> SolveOutcome:
+    """Plain Newton iteration x_{k+1} = x_k + w_{k+1} until ||f|| < tol.
 
-    Keeps the best trial seen if no trial passes the sufficient-decrease test.
+    A singular Jacobian, a non-finite residual or the iteration cap yields a
+    normal non-converged outcome, with its reason in ``status``, rather than
+    an error.
     """
-    s = 0.5
-    evals = 0
-    best = None
-    for _ in range(j_max):
-        trial = x + s * step
-        f_trial = p.residual(trial)
-        evals += 1
-        g_trial = float(f_trial @ f_trial)
-        if g_trial <= g0 + damping * s * slope:
-            return trial, f_trial, evals
-        if best is None or g_trial < best[2]:
-            best = (trial, f_trial, g_trial)
-        s *= 0.5
-    return best[0], best[1], evals
+    step = _newton_anderson_step(p, cfg, False, False, False)
+    return _drive(p, cfg, p.start, step, keep_history)
 
 
-def _projected_gradient_step(p, x, grad, project, g0, damping, j_max=60):
-    """Backtracked step along the projected steepest-descent arc."""
-    t = 1.0
-    evals = 0
-    best = None
-    for _ in range(j_max):
-        trial = project(x - t * grad)
-        f_trial = p.residual(trial)
-        evals += 1
-        g_trial = float(f_trial @ f_trial)
-        if g_trial <= g0 + damping * float(grad @ (trial - x)):
-            return trial, f_trial, evals
-        if best is None or g_trial < best[2]:
-            best = (trial, f_trial, g_trial)
-        t *= 0.5
-    return best[0], best[1], evals
+def newton_anderson_solve(
+    p: NonlinearProblem,
+    cfg: SolverConfig,
+    safeguard: bool = False,
+    linesearch: bool = False,
+    keep_history: bool = False,
+) -> SolveOutcome:
+    """Depth-1 Newton-Anderson; the first step is always plain Newton.
+
+    With ``safeguard`` the extrapolation coefficient is rescaled per
+    gamma_safeguard; degenerate steps (w_{k+1} == w_k) fall back to Newton.
+    With ``linesearch`` a step at k >= 1 that fails to reduce the residual by
+    LS_TRIGGER is replaced by an Armijo search along the combined direction;
+    a search that exhausts its trials proceeds from its trial of least merit.
+    """
+    step = _newton_anderson_step(p, cfg, True, safeguard, linesearch)
+    return _drive(p, cfg, p.start, step, keep_history)
+
+
+def projected_lm_solve(
+    p: NonlinearProblem, cfg: SolverConfig, keep_history: bool = False
+) -> SolveOutcome:
+    """Projected Levenberg-Marquardt with line-search and projected-gradient
+    fallbacks, for problems with (optional) box constraints; the start is
+    projected onto the box."""
+    lo, hi = p.bounds if p.bounds is not None else (-np.inf, np.inf)
+
+    def project(v):
+        return np.clip(v, lo, hi)
+
+    return _drive(p, cfg, project(p.start), _projected_lm_step(p, project), keep_history)
 
 
 def solve(

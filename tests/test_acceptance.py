@@ -14,6 +14,7 @@ the convention shift.
 """
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from nasolve.harness import (
     emit_report,
     run_experiment,
     run_registry,
-    with_overrides,
     write_summary,
 )
 from nasolve.linalg import DenseJacobian, lstsq_gamma
@@ -125,7 +125,7 @@ def test_criterion_03_anderson_beats_newton_at_singular_roots():
     for k in (2, 3, 7):
         cases.append(
             (f"multipoly k={k}", multipoly(MultipolySpec(n=10_000, k=k)),
-             with_overrides(CFG, r=0.7))
+             replace(CFG, r=0.7))
         )
     lines = []
     for label, p, cfg in cases:
@@ -211,7 +211,7 @@ def test_criterion_06_one_dimensional_exactness():
     out = newton_anderson_solve(_square_problem(), CFG, safeguard=False, keep_history=True)
     assert out.converged and out.iterations == 2
     assert out.iterate_history[2][0] == 0.0
-    cfg = with_overrides(CFG, r=0.5)
+    cfg = replace(CFG, r=0.5)
     out2 = newton_anderson_solve(_square_problem(), cfg, safeguard=True, keep_history=True)
     x2 = out2.iterate_history[2][0]
     assert abs(x2 - 1.0 / 6.0) <= 1e-15
@@ -238,7 +238,7 @@ def test_criterion_07_rate_and_root_order_recovery():
 
 def _gamma_na_run_k2():
     p = multipoly(MultipolySpec(n=10_000, k=2))
-    cfg = with_overrides(CFG, r=0.7)
+    cfg = replace(CFG, r=0.7)
     out = newton_anderson_solve(p, cfg, safeguard=True, keep_history=True)
     assert out.converged
     return p, out
@@ -338,7 +338,7 @@ def test_criterion_11_published_table_reproduction():
     tables and converged residuals below 1e-8; the three cells with measured
     chaotic sensitivity are reported, not gated; untranscribed entries are
     reported as skipped, never silently passed."""
-    cfg = with_overrides(CFG, r=0.5)
+    cfg = replace(CFG, r=0.5)
     gated = reported = 0
     lines = []
     for name, expected in TABLE_COUNTS.items():
@@ -379,8 +379,8 @@ def test_criterion_11_published_table_reproduction():
 def test_criterion_12_determinism(tmp_path):
     """Two consecutive runs of the full desk-scale matrix produce
     bit-identical summary and history files."""
-    cfg5 = with_overrides(CFG, r=0.5)
-    cfg7 = with_overrides(CFG, r=0.7)
+    cfg5 = replace(CFG, r=0.5)
+    cfg7 = replace(CFG, r=0.7)
 
     def run_matrix(out_dir: Path):
         out_dir.mkdir(parents=True, exist_ok=True)

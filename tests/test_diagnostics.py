@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from nasolve.diagnostics import (
     split_error,
     theta_gain,
 )
-from nasolve.harness import with_overrides
 from nasolve.linalg import DenseJacobian
 from nasolve.problems import MultipolySpec, multipoly
 from nasolve.solvers import newton_anderson_solve, newton_solve
@@ -150,7 +151,7 @@ class TestNuRatio:
         # slack 1.5 covers the asymptotic constants in the balance bound
         for k in (2, 3):
             p = multipoly(MultipolySpec(n=2000, k=k))
-            cfg = with_overrides(SolverConfig(), r=0.7)
+            cfg = replace(SolverConfig(), r=0.7)
             out = newton_anderson_solve(p, cfg, safeguard=True)
             assert out.converged
             fired = 0
@@ -195,7 +196,7 @@ class TestClassifyPair:
     def test_late_iterations_on_multipoly_are_n_pairs(self):
         p = multipoly(MultipolySpec(n=100, k=2))
         out = newton_anderson_solve(
-            p, with_overrides(SolverConfig(), r=0.7), safeguard=True, keep_history=True
+            p, replace(SolverConfig(), r=0.7), safeguard=True, keep_history=True
         )
         assert out.converged
         report = diagnose_run(p, out)
@@ -225,7 +226,7 @@ class TestCompatibilityMonitor:
     def test_strong_n_pair_steps_compatible_on_multipoly(self):
         p = multipoly(MultipolySpec(n=100, k=2))
         out = newton_anderson_solve(
-            p, with_overrides(SolverConfig(), r=0.7), safeguard=True, keep_history=True
+            p, replace(SolverConfig(), r=0.7), safeguard=True, keep_history=True
         )
         report = diagnose_run(p, out, C=2.0)
         flagged = [

@@ -1,6 +1,8 @@
 import csv
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nasolve.core import SolverConfig
@@ -11,7 +13,6 @@ from nasolve.harness import (
     run_experiment,
     run_registry,
     summary_records,
-    with_overrides,
     write_summary,
 )
 from nasolve.solvers import MethodId
@@ -55,7 +56,7 @@ class TestRunExperiment:
         from nasolve.solvers import solve
 
         spec = ExperimentSpec(problem="Bullard-Biegler", methods=(MethodId.gamma_armijo_n_anderson,),
-                              config=with_overrides(SolverConfig(), r=0.5))
+                              config=replace(SolverConfig(), r=0.5))
         base = resolve_problem(spec)
         calls = {"n": 0}
 
@@ -70,16 +71,31 @@ class TestRunExperiment:
         out = solve(counted, MethodId.gamma_armijo_n_anderson, spec.config)
         expected = out.iterations + 1 + sum(rec.ls_evals for rec in out.trace)
         assert calls["n"] == expected
+        assert out.f_evals == calls["n"]
         assert sum(rec.ls_evals for rec in out.trace) > 0  # searches actually ran
 
-    def test_parallel_matches_sequential(self):
-        spec = ExperimentSpec(
-            problem="multipoly", methods=tuple(MethodId), n=60, k=2,
-            config=with_overrides(SolverConfig(), r=0.7),
+    def test_f_evals_count_proj_lm_steps_without_candidate(self):
+        # J^T J + mu I is singular in floating point for every mu on the
+        # ladder (2e-8, 2, 1), so no LM candidate is evaluated and each step
+        # is a projected-gradient search; iterations + 1 + sum(ls_evals)
+        # would overcount by one per step
+        from nasolve.core import NonlinearProblem
+        from nasolve.linalg import DenseJacobian
+        from nasolve.solvers import solve
+
+        calls = {"n": 0}
+
+        def constant(x):
+            calls["n"] += 1
+            return np.ones(2)
+
+        p = NonlinearProblem(
+            name="flat", dim=2, residual=constant,
+            jacobian=lambda x: DenseJacobian(np.full((2, 2), 1e10)), start=np.zeros(2),
         )
-        seq = run_experiment(spec, parallel=False)
-        par = run_experiment(spec, parallel=True)
-        assert summary_records([seq]) == summary_records([par])
+        out = solve(p, MethodId.proj_lm, SolverConfig(max_iters=3))
+        assert [rec.step_kind for rec in out.trace] == ["projected_gradient"] * 3
+        assert out.f_evals == calls["n"] == 1 + sum(rec.ls_evals for rec in out.trace)
 
     def test_method_failure_recorded_not_raised(self):
         spec = ExperimentSpec(problem="multipoly", methods=(MethodId.newton,), n=50, k=2,
@@ -101,7 +117,7 @@ class TestRunRegistry:
 class TestEmitReport:
     def test_csv_layout_and_roundtrip(self, tmp_path):
         spec = ExperimentSpec(problem="Himmelbau", methods=(MethodId.proj_lm,),
-                              config=with_overrides(SolverConfig(), r=0.5))
+                              config=replace(SolverConfig(), r=0.5))
         report = run_experiment(spec)
         paths = emit_report(report, "csv", tmp_path)
         summary = [p for p in paths if "summary" in p.name][0]
@@ -210,7 +226,7 @@ class TestCli:
 
 
 def test_write_summary_combines_reports(tmp_path):
-    cfg = with_overrides(SolverConfig(), r=0.5)
+    cfg = replace(SolverConfig(), r=0.5)
     reports = run_registry((MethodId.newton,), cfg, names=("Himmelbau", "Dayton10"))
     path = write_summary(reports, tmp_path / "combined.csv")
     with open(path) as fh:

@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nasolve.core import SolverConfig, validate_problem
-from nasolve.harness import with_overrides
 from nasolve.linalg import UpperTriangularPlusJacobian
 from nasolve.problems import (
     REGISTRY_NAMES,
@@ -188,7 +189,7 @@ class TestRegistry:
 
     def test_bullard_biegler_root_in_box(self):
         p = registry_entry("Bullard-Biegler")
-        out = newton_anderson_solve(p, with_overrides(SolverConfig(), r=0.5), safeguard=True)
+        out = newton_anderson_solve(p, replace(SolverConfig(), r=0.5), safeguard=True)
         assert out.converged
         lo, hi = p.bounds
         assert np.all(out.x >= lo - 1e-9) and np.all(out.x <= hi + 1e-9)
