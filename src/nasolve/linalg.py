@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 EPS = float(np.finfo(float).eps)
 
@@ -156,24 +157,37 @@ def lu_solve(a, b: np.ndarray) -> np.ndarray:
 def structured_solve(a: UpperTriangularPlusJacobian, b: np.ndarray) -> np.ndarray:
     """Back substitution for the upper-triangular-plus-corner form; cost O(n).
 
+    One LAPACK banded triangular solve (``dtbtrs``) on the 2 x n band holding
+    the superdiagonal above the diagonal, whose last entry is the corner.
+
     Pivot collapse is judged row-relatively: no elimination takes place here,
     so a tiny but exactly representable pivot in a row it alone occupies is
     still a well-conditioned division (the global-matrix-scale test used for
     dense LU would falsely reject it).  An exactly zero pivot always raises.
+    The pivots are checked before the solve; back substitution meets the
+    highest row first, so that is the row the error names.  A NaN pivot passes
+    the test and propagates into the solution.
     """
     b = np.asarray(b, dtype=float)
-    n = a.n
     if a.corner == 0.0:
         raise SingularMatrix("corner pivot is exactly zero")
-    x = np.empty(n)
-    x[-1] = b[-1] / a.corner
-    d, s = a.diag, a.superdiag
-    for i in range(n - 2, -1, -1):
-        if abs(d[i]) <= EPS * abs(s[i]):
-            raise SingularMatrix(
-                f"pivot {d[i]:.3e} at row {i} negligible against row entry {s[i]:.3e}"
-            )
-        x[i] = (b[i] - s[i] * x[i + 1]) / d[i]
+    d, s = a.diag[:-1], a.superdiag
+    bad = np.flatnonzero(np.abs(d) <= EPS * np.abs(s))
+    if bad.size:
+        i = int(bad[-1])
+        raise SingularMatrix(
+            f"pivot {d[i]:.3e} at row {i} negligible against row entry {s[i]:.3e}"
+        )
+    ab = np.empty((2, a.n), order="F")  # ab[0, 0] lies outside the matrix, never read
+    ab[0, 1:] = s
+    ab[1, :-1] = d
+    ab[1, -1] = a.corner
+    x, info = scipy.linalg.lapack.dtbtrs(ab, b, uplo="U", trans="N", diag="N")
+    if info > 0:
+        # only reachable when a NaN row entry hid an exactly zero pivot
+        raise SingularMatrix(f"pivot at row {info - 1} is exactly zero")
+    if info < 0:
+        raise ValueError(f"dtbtrs rejected argument {-info}")
     return x
 
 

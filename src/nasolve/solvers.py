@@ -279,10 +279,10 @@ def _projected_lm_step(p: NonlinearProblem, project):
         # Cholesky and bump the damping if conditioning defeats it numerically
         d = None
         for mu in (max(MU_SCALE * res * res, MU_FLOOR), res * res, 1.0):
+            a = normal.copy()
+            a.flat[:: p.dim + 1] += mu
             try:
-                c, low = scipy.linalg.cho_factor(
-                    normal + mu * np.eye(p.dim), check_finite=False
-                )
+                c, low = scipy.linalg.cho_factor(a, check_finite=False)
                 d = scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
                 break
             except np.linalg.LinAlgError:

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nasolve.core import SolverConfig
 from nasolve.linalg import (
+    EPS,
     DegenerateSteps,
     DenseJacobian,
     OperatorJacobian,
@@ -13,6 +15,30 @@ from nasolve.linalg import (
     lu_solve,
     structured_solve,
 )
+from nasolve.problems import MultipolySpec, multipoly
+from nasolve.solvers import newton_anderson_solve
+
+
+def _reference_structured_solve(a, b):
+    """Row-by-row back substitution, the reference for the LAPACK path."""
+    b = np.asarray(b, dtype=float)
+    n = a.n
+    if a.corner == 0.0:
+        raise SingularMatrix("corner pivot is exactly zero")
+    x = np.empty(n)
+    x[-1] = b[-1] / a.corner
+    d, s = a.diag, a.superdiag
+    for i in range(n - 2, -1, -1):
+        if abs(d[i]) <= EPS * abs(s[i]):
+            raise SingularMatrix(
+                f"pivot {d[i]:.3e} at row {i} negligible against row entry {s[i]:.3e}"
+            )
+        x[i] = (b[i] - s[i] * x[i + 1]) / d[i]
+    return x
+
+
+def _rel_err(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
 class TestLuSolve:
@@ -87,6 +113,71 @@ class TestStructuredSolve:
         a = UpperTriangularPlusJacobian(np.array([1.0, 9.0]), np.array([2.0]), 0.5)
         assert a.max_abs() == 2.0
         assert a.to_dense()[-1, -1] == 0.5
+
+
+class TestStructuredSolveAgainstReference:
+    """The LAPACK banded solve against the row-by-row reference loop.
+
+    FMA in the BLAS kernel changes the rounding, so solutions agree to a
+    tolerance rather than bit for bit; pivot decisions and messages agree
+    exactly.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 57, 10_000])
+    def test_random_diagonally_dominant(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            diag = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+            sup = rng.uniform(-1.0, 1.0, n - 1)
+            corner = rng.uniform(1.0, 2.0) * rng.choice([-1.0, 1.0])
+            a = UpperTriangularPlusJacobian(diag, sup, corner)
+            b = rng.standard_normal(n)
+            assert _rel_err(structured_solve(a, b), _reference_structured_solve(a, b)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_multipoly_jacobians_along_gamma_na_run(self, k):
+        p = multipoly(MultipolySpec(n=2000, k=k))
+        out = newton_anderson_solve(p, SolverConfig(r=0.7), safeguard=True, keep_history=True)
+        assert out.converged
+        for x in out.iterate_history:
+            a, fx = p.jacobian(x), p.residual(x)
+            assert _rel_err(structured_solve(a, fx), _reference_structured_solve(a, fx)) <= 1e-12
+
+    def test_one_by_one(self):
+        a = UpperTriangularPlusJacobian(np.array([5.0]), np.array([]), -4.0)
+        assert structured_solve(a, np.array([2.0]))[0] == -0.5
+        assert _reference_structured_solve(a, np.array([2.0]))[0] == -0.5
+
+    def test_tiny_pivot_alone_in_its_row_is_accepted(self):
+        a = UpperTriangularPlusJacobian(np.array([1.0, 1e-300, 1.0]), np.array([1.0, 0.0]), 2.0)
+        b = np.array([1.0, 1e-300, 1.0])
+        x = structured_solve(a, b)
+        np.testing.assert_array_equal(x, _reference_structured_solve(a, b))
+        np.testing.assert_array_equal(x, [0.0, 1.0, 0.5])
+
+    def test_highest_negligible_pivot_is_named(self):
+        a = UpperTriangularPlusJacobian(
+            np.array([1.0, 0.0, 1.0, 1e-20, 1.0]), np.array([1.0, 1.0, 1.0, 1.0]), 1.0
+        )
+        with pytest.raises(SingularMatrix) as fast:
+            structured_solve(a, np.ones(5))
+        with pytest.raises(SingularMatrix) as ref:
+            _reference_structured_solve(a, np.ones(5))
+        assert str(fast.value) == str(ref.value)
+        assert "row 3" in str(fast.value)
+
+    def test_nan_pivot_propagates_without_raising(self):
+        a = UpperTriangularPlusJacobian(np.array([1.0, np.nan, 1.0]), np.array([1.0, 1.0]), 1.0)
+        x = structured_solve(a, np.ones(3))
+        np.testing.assert_array_equal(x, _reference_structured_solve(a, np.ones(3)))
+        assert np.isnan(x[:2]).all() and x[2] == 1.0
+
+    def test_zero_pivot_behind_nan_row_entry_raises(self):
+        # the row-relative test cannot see this pivot (0 <= NaN is false), so
+        # the LAPACK singularity report is what catches it
+        a = UpperTriangularPlusJacobian(np.array([1.0, 0.0, 1.0]), np.array([1.0, np.nan]), 1.0)
+        with pytest.raises(SingularMatrix, match="row 1 is exactly zero"):
+            structured_solve(a, np.ones(3))
 
 
 class TestOperatorJacobian:

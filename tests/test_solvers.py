@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,6 +193,16 @@ class TestNewtonAndersonSolve:
                 assert out.converged
                 assert out.iterations < newton_iters
 
+    @pytest.mark.parametrize("k,newton_iters,gamma_na_iters", [(2, 14, 7), (3, 16, 8), (7, 17, 8)])
+    def test_multipoly_counts_past_paper_scale(self, k, newton_iters, gamma_na_iters):
+        # n = 10^6, a hundred times the paper's n = 10^4
+        p = multipoly(MultipolySpec(n=1_000_000, k=k))
+        cfg = SolverConfig(r=0.7)
+        plain = newton_solve(p, cfg)
+        assert plain.converged and plain.iterations == newton_iters
+        fast = newton_anderson_solve(p, cfg, safeguard=True)
+        assert fast.converged and fast.iterations == gamma_na_iters
+
     def test_first_step_is_plain_newton(self):
         p = multipoly(MultipolySpec(n=30, k=3))
         out = newton_anderson_solve(p, SolverConfig())
@@ -360,6 +371,40 @@ class TestProjectedLm:
             "projected_gradient": 49, "lm": 1,
         }
         assert sum(rec.ls_evals for rec in out.trace) == 49
+
+    def test_regularisation_bit_identical_to_adding_mu_times_identity(self, monkeypatch):
+        # reference run: every Cholesky attempt factors normal + mu * I built
+        # with np.eye, mu taken from the same damping ladder
+        from nasolve.solvers import MU_FLOOR, MU_SCALE
+
+        p = h_equation(HEquationSpec(n=150, omega=1.0))
+        fast = projected_lm_solve(p, SolverConfig())
+
+        state = {}
+
+        def jacobian(x):
+            jac = p.jacobian(x)
+            dense = jac.to_dense()
+            res = float(np.linalg.norm(p.residual(x)))
+            state.update(normal=dense.T @ dense, attempt=0,
+                         ladder=(max(MU_SCALE * res * res, MU_FLOOR), res * res, 1.0))
+            return jac
+
+        cho_factor = scipy.linalg.cho_factor
+
+        def cho_factor_eye(a, **kwargs):
+            mu = state["ladder"][state["attempt"]]
+            state["attempt"] += 1
+            eye_form = state["normal"] + mu * np.eye(p.dim)
+            assert np.array_equal(a, eye_form)
+            return cho_factor(eye_form, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", cho_factor_eye)
+        ref = projected_lm_solve(replace(p, jacobian=jacobian), SolverConfig())
+        assert ref.iterations == fast.iterations > 0
+        assert repr(fast.trace) == repr(ref.trace)
+        assert fast.final_res == ref.final_res
+        np.testing.assert_array_equal(fast.x, ref.x)
 
 
 class TestTermination:
