@@ -29,7 +29,6 @@ from .linalg import (
     DegenerateSteps,
     DenseJacobian,
     JacobianMatrix,
-    OperatorJacobian,
     SingularMatrix,
     UpperTriangularPlusJacobian,
     lstsq_gamma,

@@ -50,11 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--r", type=float, default=0.9, help="safeguard parameter in (0,1)")
     parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--max-iters", type=int, default=50)
-    parser.add_argument(
-        "--linesearch",
-        action="store_true",
-        help="also enable the Armijo trigger for n_anderson / gamma_n_anderson",
-    )
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--keep-history", action="store_true", help="retain iterate vectors")
@@ -64,12 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     methods = tuple(MethodId(m) for m in args.method) if args.method else ALL_METHODS
-    if args.linesearch:
-        upgrade = {
-            MethodId.n_anderson: MethodId.armijo_n_anderson,
-            MethodId.gamma_n_anderson: MethodId.gamma_armijo_n_anderson,
-        }
-        methods = tuple(dict.fromkeys(upgrade.get(m, m) for m in methods))
     try:
         cfg = SolverConfig(tol=args.tol, max_iters=args.max_iters, r=args.r)
     except ValueError as exc:

@@ -1,9 +1,9 @@
 """Small dense/structured linear-algebra kernel used by the solvers.
 
-Three Jacobian representations are supported: dense arrays, an
+Two Jacobian representations are supported: dense arrays and an
 upper-triangular-plus-corner form (diagonal, superdiagonal, and a single
-overriding (n,n) entry), and a matrix-free operator pair.  Solvers only rely
-on the common ``matvec``/``solve`` interface.
+overriding (n,n) entry).  Solvers only rely on the common ``matvec``/``solve``
+interface.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class DenseJacobian(JacobianMatrix):
         return self.a @ v
 
     def solve(self, b):
-        return lu_solve(self, b)
+        return lu_solve(self.a, b)
 
     def to_dense(self):
         return self.a
@@ -109,28 +109,6 @@ class UpperTriangularPlusJacobian(JacobianMatrix):
         return max(cands)
 
 
-class OperatorJacobian(JacobianMatrix):
-    """Matrix-free representation: a matvec callable paired with a solve callable."""
-
-    def __init__(self, n, matvec, solve):
-        self.n = n
-        self._matvec = matvec
-        self._solve = solve
-
-    def matvec(self, v):
-        return self._matvec(v)
-
-    def solve(self, b):
-        return self._solve(b)
-
-    def to_dense(self):
-        eye = np.eye(self.n)
-        return np.column_stack([self.matvec(eye[:, j]) for j in range(self.n)])
-
-    def max_abs(self):
-        return 1.0
-
-
 def lu_solve(a, b: np.ndarray) -> np.ndarray:
     """Solve A x = b by LU with partial pivoting.
 
@@ -138,8 +116,6 @@ def lu_solve(a, b: np.ndarray) -> np.ndarray:
     eps * max|A|, which is how the solvers detect that an iterate has left
     the region where the Jacobian is invertible.
     """
-    if isinstance(a, DenseJacobian):
-        a = a.a
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     with warnings.catch_warnings():
@@ -147,10 +123,11 @@ def lu_solve(a, b: np.ndarray) -> np.ndarray:
         warnings.simplefilter("ignore")
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     pivots = np.abs(np.diag(lu))
-    if pivots.size and pivots.min() <= EPS * float(np.abs(a).max()):
-        raise SingularMatrix(
-            f"pivot {pivots.min():.3e} below threshold {EPS * float(np.abs(a).max()):.3e}"
-        )
+    if pivots.size:
+        # max|A| with no n x n |A| temporary; a NaN entry gives NaN, so no raise
+        threshold = EPS * float(max(a.max(), -a.min()))
+        if pivots.min() <= threshold:
+            raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 

@@ -47,50 +47,32 @@ class MultipolySpec:
             raise ValueError(f"need k >= 2, got {self.k}")
 
 
-_DENSE_KERNEL_LIMIT = 2000  # above this the n x n node kernel is built per call
-
-
 def h_equation(spec: HEquationSpec) -> NonlinearProblem:
     """Discrete Chandrasekhar H-equation with parameter omega.
 
     Midpoint nodes mu_i = (i - 1/2)/n; the residual is
     F_i(x) = x_i - (1 - (omega/2n) sum_j mu_i x_j / (mu_i + mu_j))^(-1)
-    with a dense analytic Jacobian.  The recommended start is the vector of
-    ones.  For omega = 1 the Jacobian at the solution has a one-dimensional
-    (numerical) null space; use ``with_ground_truth`` to attach it.
+    with a dense analytic Jacobian.  The node kernel mu_i / (mu_i + mu_j) is
+    built once, so a problem holds n^2 doubles.  The recommended start is the
+    vector of ones.  For omega = 1 the Jacobian at the solution has a
+    one-dimensional (numerical) null space; use ``with_ground_truth`` to
+    attach it.
     """
     n, omega = spec.n, spec.omega
     mu = (np.arange(1, n + 1) - 0.5) / n
     coef = omega / (2.0 * n)
-    kernel = mu[:, None] / (mu[:, None] + mu[None, :]) if n <= _DENSE_KERNEL_LIMIT else None
-
-    def _kernel_dot(x):
-        if kernel is not None:
-            return kernel @ x
-        out = np.empty(n)
-        chunk = 512
-        for i0 in range(0, n, chunk):
-            i1 = min(i0 + chunk, n)
-            block = mu[i0:i1, None] / (mu[i0:i1, None] + mu[None, :])
-            out[i0:i1] = block @ x
-        return out
+    kernel = np.add.outer(mu, mu)  # the one n x n array a problem keeps
+    np.divide(mu[:, None], kernel, out=kernel)
 
     def residual(x):
-        s = coef * _kernel_dot(x)
+        s = coef * (kernel @ x)
         return x - 1.0 / (1.0 - s)
 
     def jacobian(x):
-        s = coef * _kernel_dot(x)
+        s = coef * (kernel @ x)
         w = (1.0 - s) ** -2
-        if kernel is not None:
-            jm = (-coef) * (w[:, None] * kernel)
-        else:
-            jm = np.empty((n, n))
-            chunk = 512
-            for i0 in range(0, n, chunk):
-                i1 = min(i0 + chunk, n)
-                block = mu[i0:i1, None] / (mu[i0:i1, None] + mu[None, :])
-                jm[i0:i1] = (-coef) * (w[i0:i1, None] * block)
+        jm = w[:, None] * kernel
+        jm *= -coef
         jm[np.diag_indices(n)] += 1.0
         return DenseJacobian(jm)
 

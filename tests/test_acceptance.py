@@ -105,7 +105,7 @@ def test_criterion_02_h_equation_newton_counts_desk_scale():
 
 @pytest.mark.skipif(
     not os.environ.get("NASOLVE_FULL_SCALE"),
-    reason="full-scale n=10^4 H-equation needs ~2 GB and minutes; "
+    reason="full-scale n=10^4 H-equation needs 2.4 GB and minutes; "
     "set NASOLVE_FULL_SCALE=1 to run",
 )
 def test_criterion_02b_h_equation_full_scale_exact():

@@ -216,14 +216,6 @@ class TestCli:
         rc = cli.main(["--problem", "NoSuchProblem", "--out", str(tmp_path)])
         assert rc == 2
 
-    def test_linesearch_flag_upgrades_methods(self, tmp_path):
-        rc = cli.main([
-            "--problem", "multipoly", "--n", "60", "--method", "n_anderson",
-            "--linesearch", "--out", str(tmp_path),
-        ])
-        assert rc == 0
-        assert (tmp_path / "multipoly_k2_n60_armijo_n_anderson_history.csv").exists()
-
 
 def test_write_summary_combines_reports(tmp_path):
     cfg = replace(SolverConfig(), r=0.5)

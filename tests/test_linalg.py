@@ -8,7 +8,6 @@ from nasolve.linalg import (
     EPS,
     DegenerateSteps,
     DenseJacobian,
-    OperatorJacobian,
     SingularMatrix,
     UpperTriangularPlusJacobian,
     lstsq_gamma,
@@ -178,14 +177,6 @@ class TestStructuredSolveAgainstReference:
         a = UpperTriangularPlusJacobian(np.array([1.0, 0.0, 1.0]), np.array([1.0, np.nan]), 1.0)
         with pytest.raises(SingularMatrix, match="row 1 is exactly zero"):
             structured_solve(a, np.ones(3))
-
-
-class TestOperatorJacobian:
-    def test_roundtrip(self):
-        m = np.array([[2.0, 1.0], [0.0, 3.0]])
-        op = OperatorJacobian(2, lambda v: m @ v, lambda b: np.linalg.solve(m, b))
-        np.testing.assert_allclose(op.to_dense(), m)
-        np.testing.assert_allclose(m @ op.solve(np.array([1.0, 2.0])), [1.0, 2.0])
 
 
 class TestLstsqGamma:

@@ -20,6 +20,30 @@ from nasolve.problems import (
 from nasolve.solvers import newton_anderson_solve, newton_solve
 
 
+def _reference_kernel_dot(mu, x, chunk=512):
+    """Kernel product mu_i / (mu_i + mu_j) @ x with the kernel rebuilt in row
+    blocks, the formula ``h_equation`` once used above n = 2000."""
+    out = np.empty(len(mu))
+    for i0 in range(0, len(mu), chunk):
+        block = mu[i0:i0 + chunk, None] / (mu[i0:i0 + chunk, None] + mu[None, :])
+        out[i0:i0 + chunk] = block @ x
+    return out
+
+
+def _reference_h_equation(n, omega, x, chunk=512):
+    """Residual and dense Jacobian of the H-equation from the row-block formula."""
+    mu = (np.arange(1, n + 1) - 0.5) / n
+    coef = omega / (2.0 * n)
+    s = coef * _reference_kernel_dot(mu, x, chunk)
+    w = (1.0 - s) ** -2
+    jm = np.empty((n, n))
+    for i0 in range(0, n, chunk):
+        block = mu[i0:i0 + chunk, None] / (mu[i0:i0 + chunk, None] + mu[None, :])
+        jm[i0:i0 + chunk] = (-coef) * (w[i0:i0 + chunk, None] * block)
+    jm[np.diag_indices(n)] += 1.0
+    return x - 1.0 / (1.0 - s), jm
+
+
 class TestHEquation:
     def test_omega_zero_is_affine_shift(self):
         from dataclasses import replace
@@ -88,6 +112,34 @@ class TestHEquation:
         violations = validate_problem(p)
         assert len(violations) == 1
         assert "not annihilated" in violations[0]
+
+    @pytest.mark.parametrize("n", [2001, 3000])
+    def test_matches_row_block_reference_past_old_dense_limit(self, n):
+        p = h_equation(HEquationSpec(n=n, omega=1.0))
+        rng = np.random.default_rng(n)
+        for x in (p.start, 1.0 + 0.5 * rng.random(n)):
+            f_ref, j_ref = _reference_h_equation(n, 1.0, x)
+            f, j = p.residual(x), p.jacobian(x).to_dense()
+            assert np.linalg.norm(f - f_ref) <= 1e-14 * np.linalg.norm(f_ref)
+            assert np.linalg.norm(j - j_ref) <= 1e-14 * np.linalg.norm(j_ref)
+
+    @pytest.mark.parametrize("n", [1000, 2500])
+    def test_newton_step_memory_budget(self, n):
+        # the problem's resident kernel is built before tracing starts; one
+        # Jacobian build plus LU solve may then allocate the Jacobian and its
+        # LU factors, and no further n x n array
+        import tracemalloc
+
+        p = h_equation(HEquationSpec(n=n, omega=1.0))
+        x = p.start
+        f = p.residual(x)
+        tracemalloc.start()
+        try:
+            p.jacobian(x).solve(-f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * n * n * 8
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):

@@ -203,6 +203,12 @@ class TestNewtonAndersonSolve:
         fast = newton_anderson_solve(p, cfg, safeguard=True)
         assert fast.converged and fast.iterations == gamma_na_iters
 
+    def test_heq_counts_past_old_dense_limit(self):
+        # the benchmark's n = 3000 cell, pinned in perfbench/fingerprint.json
+        p = h_equation(HEquationSpec(n=3000, omega=1.0))
+        out = solve(p, MethodId.gamma_n_anderson, SolverConfig())
+        assert out.converged and out.iterations == 6 and out.f_evals == 7
+
     def test_first_step_is_plain_newton(self):
         p = multipoly(MultipolySpec(n=30, k=3))
         out = newton_anderson_solve(p, SolverConfig())
