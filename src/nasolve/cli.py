@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-iters", type=int, default=50)
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--keep-history", action="store_true", help="retain iterate vectors")
     return parser
 
 
@@ -80,7 +79,6 @@ def main(argv=None) -> int:
                 omega=args.omega,
                 k=args.k,
                 config=cfg,
-                keep_history=args.keep_history,
             )
             reports = [run_experiment(spec)]
             emit_report(reports[0], args.format, args.out)

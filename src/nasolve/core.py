@@ -117,11 +117,10 @@ class SolveOutcome:
 
     ``status`` is one of STATUSES and says why the run stopped; ``f_evals``
     counts the residual evaluations the run made, start point included.
+    ``converged`` and ``iterations`` derive from ``status`` and ``trace``.
     The residual history of a run is ``[r.res_norm for r in trace] + [final_res]``.
     """
 
-    converged: bool
-    iterations: int
     final_res: float
     x: np.ndarray
     status: str
@@ -129,6 +128,14 @@ class SolveOutcome:
     trace: list[IterationRecord] = field(default_factory=list)
     iterate_history: list[np.ndarray] | None = None
     wall_time: float = 0.0
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 def validate_problem(p: NonlinearProblem) -> list[str]:

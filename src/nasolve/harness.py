@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,17 +55,29 @@ class ExperimentSpec:
 
 @dataclass
 class MethodRow:
+    """One method's result on a problem.  A row whose solve raised, or whose
+    problem is not transcribed, has no outcome and reads as not converged."""
+
     method: MethodId
-    converged: bool
-    iterations: int
-    f_evals: int
-    final_res: float
-    lm_count: int
-    ls_count: int
-    pg_count: int
     outcome: SolveOutcome | None
     error: str | None = None
     skipped: bool = False
+
+    @property
+    def converged(self) -> bool:
+        return self.outcome is not None and self.outcome.converged
+
+    @property
+    def iterations(self) -> int:
+        return self.outcome.iterations if self.outcome is not None else 0
+
+    @property
+    def f_evals(self) -> int:
+        return self.outcome.f_evals if self.outcome is not None else 0
+
+    @property
+    def final_res(self) -> float:
+        return self.outcome.final_res if self.outcome is not None else float("nan")
 
 
 @dataclass
@@ -85,30 +98,8 @@ def _run_method(p: NonlinearProblem, method: MethodId, spec: ExperimentSpec) -> 
     try:
         outcome = solve(p, method, spec.config, keep_history=spec.keep_history)
     except Exception as exc:  # a failed cell must not abort the run
-        return MethodRow(
-            method=method, converged=False, iterations=0, f_evals=0,
-            final_res=float("nan"), lm_count=0, ls_count=0, pg_count=0,
-            outcome=None, error=f"{type(exc).__name__}: {exc}",
-        )
-    kinds = [rec.step_kind for rec in outcome.trace]
-    if method is MethodId.proj_lm:
-        lm = kinds.count("lm")
-        ls = kinds.count("lm_linesearch")
-        pg = kinds.count("projected_gradient")
-    else:
-        lm = pg = 0
-        ls = sum(1 for rec in outcome.trace if rec.ls_evals > 0)
-    return MethodRow(
-        method=method,
-        converged=outcome.converged,
-        iterations=outcome.iterations,
-        f_evals=outcome.f_evals,
-        final_res=outcome.final_res,
-        lm_count=lm,
-        ls_count=ls,
-        pg_count=pg,
-        outcome=outcome,
-    )
+        return MethodRow(method, None, error=f"{type(exc).__name__}: {exc}")
+    return MethodRow(method, outcome)
 
 
 def run_experiment(spec: ExperimentSpec) -> RunReport:
@@ -133,14 +124,7 @@ def run_registry(
             spec = ExperimentSpec(problem=name, methods=tuple(methods), config=config)
             reports.append(run_experiment(spec))
         except ProblemUnavailable as exc:
-            rows = [
-                MethodRow(
-                    method=MethodId(m), converged=False, iterations=0, f_evals=0,
-                    final_res=float("nan"), lm_count=0, ls_count=0, pg_count=0,
-                    outcome=None, error=str(exc), skipped=True,
-                )
-                for m in methods
-            ]
+            rows = [MethodRow(MethodId(m), None, error=str(exc), skipped=True) for m in methods]
             reports.append(RunReport(problem=name, rows=rows))
     return reports
 
@@ -150,57 +134,63 @@ def _fmt_float(x: float) -> str:
 
 
 def _lm_ls_pg(row: MethodRow) -> str:
+    """The LM/LS/PG cell: proj_lm's step kinds, the armijo methods' searched
+    steps, each counted from the trace of a converged run."""
     if row.skipped:
         return "skipped"
-    if not row.converged and row.error is not None:
+    if row.outcome is None:
         return "-"
+    trace = row.outcome.trace
     if row.method is MethodId.proj_lm:
         if not row.converged:
             return "-"
-        return f"{row.lm_count}/{row.ls_count}/{row.pg_count}"
+        kinds = Counter(rec.step_kind for rec in trace)
+        return f"{kinds['lm']}/{kinds['lm_linesearch']}/{kinds['projected_gradient']}"
     if row.method in (MethodId.armijo_n_anderson, MethodId.gamma_armijo_n_anderson):
         if not row.converged:
             return "-/-/-"
-        return f"-/{row.ls_count}/-"
+        return f"-/{sum(1 for rec in trace if rec.ls_evals > 0)}/-"
     return "-"
+
+
+def _cells(problem: str, row: MethodRow, fmt_res) -> tuple[str, ...]:
+    """One row in SUMMARY_COLUMNS order, with paper-style F/dash placeholders
+    for a run that did not converge; ``fmt_res`` formats the final residual."""
+    ok = row.converged
+    return (
+        problem,
+        row.method.value,
+        str(row.iterations) if ok else "F",
+        str(row.f_evals) if ok else "-",
+        fmt_res(row.final_res) if ok else "-",
+        _lm_ls_pg(row),
+    )
 
 
 def summary_records(reports: list[RunReport]) -> list[dict]:
     """Rows of the summary table with paper-style F/dash placeholders."""
-    records = []
-    for report in reports:
-        for row in report.rows:
-            ok = row.converged and not row.skipped
-            records.append(
-                {
-                    "problem": report.problem,
-                    "algorithm": row.method.value,
-                    "iterations": str(row.iterations) if ok else "F",
-                    "f_evals": str(row.f_evals) if ok else "-",
-                    "final_res": _fmt_float(row.final_res) if ok else "-",
-                    "lm_ls_pg": _lm_ls_pg(row),
-                }
-            )
-    return records
+    return [
+        dict(zip(SUMMARY_COLUMNS, _cells(report.problem, row, _fmt_float)))
+        for report in reports
+        for row in report.rows
+    ]
 
 
 def history_records(outcome: SolveOutcome) -> list[dict]:
-    rows = []
-    for rec in outcome.trace:
-        rows.append(
-            {
-                "k": str(rec.k),
-                "res_norm": _fmt_float(rec.res_norm),
-                "step_norm": _fmt_float(rec.step_norm),
-                "gamma_raw": _fmt_float(rec.gamma_raw),
-                "lambda": _fmt_float(rec.lam),
-                "gamma_used": _fmt_float(rec.gamma_used),
-                "theta": _fmt_float(rec.theta),
-                "step_kind": rec.step_kind,
-                "ls_evals": str(rec.ls_evals),
-            }
-        )
-    return rows
+    return [
+        dict(zip(HISTORY_COLUMNS, (
+            str(rec.k),
+            _fmt_float(rec.res_norm),
+            _fmt_float(rec.step_norm),
+            _fmt_float(rec.gamma_raw),
+            _fmt_float(rec.lam),
+            _fmt_float(rec.gamma_used),
+            _fmt_float(rec.theta),
+            rec.step_kind,
+            str(rec.ls_evals),
+        )))
+        for rec in outcome.trace
+    ]
 
 
 def _write_rows(path: Path, fieldnames, records, fmt: str):
@@ -253,20 +243,11 @@ def write_summary(reports: list[RunReport], path, fmt: str = "csv") -> Path:
 def compare_table(reports: list[RunReport]) -> str:
     """Aligned text table grouped by problem, one method per row."""
     header = ("Problem", "Algorithm", "Iterations", "f-evals", "||f(x)||", "LM/LS/PG")
-    rows = [header]
-    for report in reports:
-        for row in report.rows:
-            ok = row.converged and not row.skipped
-            rows.append(
-                (
-                    report.problem,
-                    row.method.value,
-                    str(row.iterations) if ok else "F",
-                    str(row.f_evals) if ok else "-",
-                    f"{row.final_res:.3e}" if ok else "-",
-                    _lm_ls_pg(row),
-                )
-            )
+    rows = [header] + [
+        _cells(report.problem, row, "{:.3e}".format)
+        for report in reports
+        for row in report.rows
+    ]
     if len(rows) == 1:
         return ""
     widths = [max(len(r[j]) for r in rows) for j in range(len(header))]

@@ -25,6 +25,11 @@ class DegenerateSteps(Exception):
     """Two consecutive update steps coincide; the extrapolation coefficient is undefined."""
 
 
+def _max_abs(a: np.ndarray) -> float:
+    """max|a| with no |a| temporary: NaN when an entry is NaN, 0.0 when empty."""
+    return float(max(a.max(), -a.min())) if a.size else 0.0
+
+
 class JacobianMatrix:
     """Common interface for the Jacobian representations."""
 
@@ -62,7 +67,7 @@ class DenseJacobian(JacobianMatrix):
         return self.a
 
     def max_abs(self):
-        return float(np.abs(self.a).max()) if self.n else 0.0
+        return _max_abs(self.a)
 
 
 class UpperTriangularPlusJacobian(JacobianMatrix):
@@ -124,8 +129,7 @@ def lu_solve(a, b: np.ndarray) -> np.ndarray:
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     pivots = np.abs(np.diag(lu))
     if pivots.size:
-        # max|A| with no n x n |A| temporary; a NaN entry gives NaN, so no raise
-        threshold = EPS * float(max(a.max(), -a.min()))
+        threshold = EPS * _max_abs(a)  # a NaN entry gives NaN, so no raise
         if pivots.min() <= threshold:
             raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)

@@ -11,7 +11,7 @@ a fabricated system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,17 +142,7 @@ def with_ground_truth(p: NonlinearProblem, tol: float = 1e-13) -> NonlinearProbl
     dense = p.jacobian(root).to_dense()
     _, _, vt = np.linalg.svd(dense)
     basis = vt[-1][:, None]
-    return NonlinearProblem(
-        name=p.name,
-        dim=p.dim,
-        residual=p.residual,
-        jacobian=p.jacobian,
-        start=p.start,
-        known_root=root,
-        null_basis=basis,
-        root_order=p.root_order,
-        bounds=p.bounds,
-    )
+    return replace(p, known_root=root, null_basis=basis)
 
 
 def fd_jacobian_check(p: NonlinearProblem, x: np.ndarray) -> float:

@@ -71,6 +71,9 @@ def gamma_safeguard(
     Otherwise, when |gamma| / |1-gamma| exceeds beta = r*w_next_norm/w_prev_norm,
     lam is chosen so that |lam*gamma| / |1 - lam*gamma| == beta:
     lam = beta/(gamma(1+beta)) for gamma > 0, beta/(gamma(beta-1)) for gamma < 0.
+    A scaled lam is then lowered ulp by ulp until the ratio it gives in floating
+    point is at most beta + 1e-12: near gamma = 1 the rounding of lam * gamma
+    moves the ratio by about beta^2 ulp.
     """
     beta = r * w_next_norm / w_prev_norm
     if gamma == 0.0 or gamma >= 1.0:
@@ -85,6 +88,8 @@ def gamma_safeguard(
             cand = beta / (gamma * (beta - 1.0))
             if 0.0 <= cand < 1.0:
                 lam = cand
+        while lam < 1.0 and abs(lam * gamma) / abs(1.0 - lam * gamma) > beta + 1e-12:
+            lam = math.nextafter(lam, 0.0)
     return SafeguardDecision(lam=lam, took_newton_step=False, beta=beta)
 
 
@@ -171,8 +176,6 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
                 status = stop
                 break
     return SolveOutcome(
-        converged=status == "converged",
-        iterations=len(trace),
         final_res=res,
         x=x,
         status=status,
@@ -189,9 +192,10 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, anderson, safe
     x_{k+1} = x_k + w_{k+1}, and no extrapolation coefficient is computed."""
     x_prev: np.ndarray | None = None
     w_prev: np.ndarray | None = None
+    w_prev_norm = 0.0
 
     def step(k, x, fx, res, residual):
-        nonlocal x_prev, w_prev
+        nonlocal x_prev, w_prev, w_prev_norm
         jac = p.jacobian(x)
         w = jac.solve(-fx)
         w_norm = float(np.linalg.norm(w))
@@ -204,9 +208,7 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, anderson, safe
                 gamma_raw = 0.0  # stagnated direction: plain Newton step
             else:
                 if safeguard:
-                    dec = gamma_safeguard(
-                        gamma_raw, w_norm, float(np.linalg.norm(w_prev)), cfg.r
-                    )
+                    dec = gamma_safeguard(gamma_raw, w_norm, w_prev_norm, cfg.r)
                     if not dec.took_newton_step:
                         lam = dec.lam
                         gamma_used = lam * gamma_raw
@@ -218,16 +220,15 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, anderson, safe
         if kind == "anderson":
             x_new = anderson_combine(x, x_prev, w, w_prev, gamma_used)
             theta = float(np.linalg.norm(w - gamma_used * (w - w_prev))) / w_norm
-            d = w - gamma_used * (x - x_prev + w - w_prev)
         else:
             x_new = x + w
-            d = w
 
         f_new = residual(x_new)
         ls_evals = 0
         # the search direction needs the (x_{k-1}, w_k) history, so the
         # mandatory first Newton step is never line-searched
         if linesearch and k > 0 and float(np.linalg.norm(f_new)) > LS_TRIGGER * res:
+            d = w - gamma_used * (x - x_prev + w - w_prev) if kind == "anderson" else w
             g0 = float(fx @ fx)
             slope = 2.0 * float(fx @ jac.matvec(d))  # g'(x)^T d
             x_new, f_new, ls_evals = _backtrack(
@@ -239,7 +240,7 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, anderson, safe
             if kind == "anderson":
                 kind = "anderson_linesearch"
 
-        x_prev, w_prev = x, w
+        x_prev, w_prev, w_prev_norm = x, w, w_norm
         rec = IterationRecord(
             k=k, res_norm=res, step_norm=w_norm,
             gamma_raw=gamma_raw, lam=lam, gamma_used=gamma_used, theta=theta,

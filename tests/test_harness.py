@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from nasolve.harness import (
     write_summary,
 )
 from nasolve.solvers import MethodId
-from nasolve import cli
+from nasolve import cli, harness
 
 
 class TestExperimentSpec:
@@ -186,6 +187,77 @@ class TestCompareTable:
         text = compare_table([run_experiment(spec)])
         line = [ln for ln in text.splitlines() if "newton" in ln][0]
         assert " F " in f" {line} " or line.split()[-1] == "-"
+
+
+def _table_cells(text: str, method: str) -> list[str]:
+    return [ln for ln in text.splitlines() if f" {method} " in f" {ln} "][0].split()
+
+
+class TestRowRendering:
+    """The F/dash placeholders and LM/LS/PG counts each kind of row renders."""
+
+    def test_raising_method_renders_f_and_records_error(self, tmp_path, monkeypatch):
+        def raising(*args, **kwargs):
+            raise RuntimeError("no step")
+
+        monkeypatch.setattr(harness, "solve", raising)
+        spec = ExperimentSpec(problem="multipoly", methods=(MethodId.newton,), n=50, k=2)
+        report = run_experiment(spec)
+        row = report.rows[0]
+        assert row.outcome is None and not row.skipped
+        assert row.error == "RuntimeError: no step"
+        assert (row.converged, row.iterations, row.f_evals) == (False, 0, 0)
+        assert math.isnan(row.final_res)
+        paths = emit_report(report, "csv", tmp_path)
+        assert paths == [tmp_path / "multipoly_k2_n50_summary.csv"]  # no history file
+        lines = paths[0].read_text().splitlines()
+        assert lines[1] == "multipoly_k2_n50,newton,F,-,-,-"
+        assert _table_cells(compare_table([report]), "newton") == [
+            "multipoly_k2_n50", "newton", "F", "-", "-", "-"
+        ]
+
+    @pytest.mark.parametrize("method, cell", [
+        (MethodId.newton, "-"),
+        (MethodId.proj_lm, "-"),
+        (MethodId.armijo_n_anderson, "-/-/-"),
+        (MethodId.gamma_armijo_n_anderson, "-/-/-"),
+    ])
+    def test_failed_method_placeholder(self, method, cell):
+        spec = ExperimentSpec(problem="multipoly", methods=(method,), n=50, k=2,
+                              config=SolverConfig(max_iters=1))
+        report = run_experiment(spec)
+        assert report.rows[0].outcome.status == "max_iters"
+        rec = summary_records([report])[0]
+        assert (rec["iterations"], rec["f_evals"], rec["final_res"], rec["lm_ls_pg"]) == (
+            "F", "-", "-", cell
+        )
+        assert _table_cells(compare_table([report]), method.value)[2:] == ["F", "-", "-", cell]
+
+    def test_skipped_row_renders_skipped(self):
+        reports = run_registry((MethodId.proj_lm,), names=("Dayton10",))
+        rec = summary_records(reports)[0]
+        assert (rec["iterations"], rec["f_evals"], rec["final_res"], rec["lm_ls_pg"]) == (
+            "F", "-", "-", "skipped"
+        )
+        assert _table_cells(compare_table(reports), "proj_lm") == [
+            "Dayton10", "proj_lm", "F", "-", "-", "skipped"
+        ]
+
+    def test_registry_counts_column(self):
+        # Bullard-Biegler at r = 0.5 has a converged row of every rule and
+        # two failed Newton-Anderson rows
+        reports = run_registry(tuple(MethodId), replace(SolverConfig(), r=0.5),
+                               names=("Bullard-Biegler",))
+        got = {rec["algorithm"]: (rec["iterations"], rec["lm_ls_pg"])
+               for rec in summary_records(reports)}
+        assert got == {
+            "newton": ("11", "-"),
+            "n_anderson": ("F", "-"),
+            "gamma_n_anderson": ("11", "-"),
+            "armijo_n_anderson": ("F", "-/-/-"),
+            "gamma_armijo_n_anderson": ("13", "-/6/-"),
+            "proj_lm": ("13", "10/3/0"),
+        }
 
 
 class TestCli:

@@ -72,6 +72,36 @@ class TestLuSolve:
             assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-10
 
 
+class TestDenseMaxAbs:
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, -3.0], [2.0, 0.5]]),
+        np.array([[-0.5, 0.25], [0.0, -7.0]]),
+        np.array([[1.0, np.inf], [0.0, 1.0]]),
+        np.array([[1.0, -np.inf], [0.0, 1.0]]),
+        np.zeros((0, 0)),
+    ])
+    def test_matches_abs_max(self, a):
+        expected = float(np.abs(a).max()) if a.size else 0.0
+        assert DenseJacobian(a).max_abs() == expected
+
+    def test_nan_entry_gives_nan(self):
+        assert np.isnan(DenseJacobian(np.array([[1.0, np.nan], [-2.0, 1.0]])).max_abs())
+
+    def test_memory_budget(self):
+        # no n x n |A| temporary
+        import tracemalloc
+
+        n = 1000
+        jac = DenseJacobian(np.random.default_rng(3).standard_normal((n, n)))
+        tracemalloc.start()
+        try:
+            jac.max_abs()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * n * n * 8
+
+
 class TestStructuredSolve:
     def test_identity_like(self):
         a = UpperTriangularPlusJacobian(np.array([1.0, 1.0]), np.array([0.0]), 1.0)

@@ -1,10 +1,10 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from nasolve.core import SolverConfig, validate_problem
-from nasolve.linalg import UpperTriangularPlusJacobian
+from nasolve.core import NonlinearProblem, SolverConfig, validate_problem
+from nasolve.linalg import DenseJacobian, UpperTriangularPlusJacobian
 from nasolve.problems import (
     REGISTRY_NAMES,
     HEquationSpec,
@@ -245,3 +245,19 @@ class TestRegistry:
         assert out.converged
         lo, hi = p.bounds
         assert np.all(out.x >= lo - 1e-9) and np.all(out.x <= hi + 1e-9)
+
+
+def test_with_ground_truth_keeps_every_other_field():
+    p = NonlinearProblem(
+        name="shift", dim=2, residual=lambda x: x - 1.0,
+        jacobian=lambda x: DenseJacobian(np.eye(2)), start=np.zeros(2),
+        root_order=1, bounds=(np.full(2, -5.0), np.full(2, 5.0)),
+    )
+    q = with_ground_truth(p)
+    np.testing.assert_array_equal(q.known_root, np.ones(2))
+    assert q.null_basis.shape == (2, 1)
+    for f in fields(NonlinearProblem):
+        if f.name == "bounds":
+            assert all(a is b for a, b in zip(q.bounds, p.bounds))
+        elif f.name not in ("known_root", "null_basis"):
+            assert getattr(q, f.name) is getattr(p, f.name), f.name

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nasolve.core import NonlinearProblem, SolverConfig
@@ -152,6 +152,7 @@ class TestGammaSafeguard:
         st.floats(1e-6, 1e3),
         st.floats(0.01, 0.99),
     )
+    @example(0.9921875, 126.0, 0.96875, 0.875)  # lam * gamma rounds past beta + 1e-12
     def test_case_law(self, gamma, wn, wp, r):
         dec = gamma_safeguard(gamma, wn, wp, r)
         beta = r * wn / wp
@@ -166,6 +167,23 @@ class TestGammaSafeguard:
                 assert abs(g) / abs(1.0 - g) <= beta + 1e-12
             else:
                 assert abs(gamma) / abs(1.0 - gamma) <= beta + 1e-12
+
+    @pytest.mark.parametrize("wn", [1e2, 1e4, 1e6, 1.2e8])
+    def test_scaled_ratio_within_bound_near_gamma_one(self, wn):
+        # gamma = 1 - 10^-u with beta = r * wn up to 1.1e8: one ulp of
+        # lam * gamma moves the ratio by about beta^2 ulp
+        scaled, over = 0, []
+        for u in np.linspace(0.5, 9.5, 361):
+            gamma = 1.0 - 10.0 ** -u
+            for r in (0.1, 0.5, 0.9):
+                dec = gamma_safeguard(gamma, wn, 1.0, r)
+                if dec.lam < 1.0:
+                    scaled += 1
+                    g = dec.lam * gamma
+                    if abs(g) / abs(1.0 - g) > dec.beta + 1e-12:
+                        over.append((gamma, r))
+        assert scaled > 100
+        assert over == []
 
 
 class TestNewtonAndersonSolve:
