@@ -54,7 +54,6 @@ from .solvers import (
     gamma_safeguard,
     newton_anderson_solve,
     newton_solve,
-    newton_step,
     projected_lm_solve,
     solve,
 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -110,6 +111,12 @@ class IterationRecord:
     ls_evals: int = 0
 
 
+# Ground truth at iterate x_k of a solve: null = B^T (x_k - x*), range_norm =
+# ||P_R (x_k - x*)||, update = B^T w_k for the Newton update solved for at x_{k-1},
+# gamma = raw lstsq gamma of (w_k, w_{k-1}); None at x_0, after proj_lm, if degenerate.
+IterateError = namedtuple("IterateError", "null range_norm update gamma")
+
+
 @dataclass
 class SolveOutcome:
     """Result of a solve.  ``trace`` always holds per-step scalars; the full
@@ -119,6 +126,7 @@ class SolveOutcome:
     counts the residual evaluations the run made, start point included.
     ``converged`` and ``iterations`` derive from ``status`` and ``trace``.
     The residual history of a run is ``[r.res_norm for r in trace] + [final_res]``.
+    ``errors``: one IterateError per iterate if the problem has ground truth.
     """
 
     final_res: float
@@ -127,6 +135,7 @@ class SolveOutcome:
     f_evals: int
     trace: list[IterationRecord] = field(default_factory=list)
     iterate_history: list[np.ndarray] | None = None
+    errors: list[IterateError] | None = None
     wall_time: float = 0.0
 
     @property

@@ -13,8 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import IterationRecord, NonlinearProblem, SolveOutcome
-from .linalg import DegenerateSteps, SingularMatrix, lstsq_gamma
+from .core import IterateError, IterationRecord, NonlinearProblem, SolveOutcome
+from .linalg import DegenerateSteps, lstsq_gamma
 
 
 class MissingGroundTruth(Exception):
@@ -71,15 +71,24 @@ def _require_truth(p: NonlinearProblem):
         raise MissingGroundTruth(f"{p.name}: known_root and null_basis required")
 
 
+def _null_split(basis: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Null coordinates c = B^T v and P_N v = B c (np.dot: for a one-column
+    basis ``basis @ c`` takes about six times as long at n = 10^5, same bits)."""
+    c = basis.T @ v
+    return c, np.dot(basis, c)
+
+
+def _sigma(pr_norm: float, pn_norm: float) -> float:
+    return float("inf") if pn_norm == 0.0 else pr_norm / pn_norm
+
+
 def split_error(x: np.ndarray, p: NonlinearProblem) -> ErrorSplit:
     """Orthogonal split of x - x* into null and range components."""
     _require_truth(p)
-    basis = p.null_basis
     e = np.asarray(x, dtype=float) - p.known_root
-    pn = basis @ (basis.T @ e)
+    _, pn = _null_split(p.null_basis, e)
     pr = e - pn
-    npn = float(np.linalg.norm(pn))
-    sigma = float("inf") if npn == 0.0 else float(np.linalg.norm(pr)) / npn
+    sigma = _sigma(float(np.linalg.norm(pr)), float(np.linalg.norm(pn)))
     return ErrorSplit(e=e, pn=pn, pr=pr, sigma=sigma)
 
 
@@ -102,17 +111,50 @@ def nu_ratio(gamma_used: float, a: float, b: float) -> NuRatio:
     return NuRatio(nu=lo / hi)
 
 
-def _pn(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return basis @ (basis.T @ v)
+def _raw_gamma(w_next: np.ndarray, w_prev: np.ndarray) -> float | None:  # None if degenerate
+    try:
+        return lstsq_gamma(w_next, w_prev)
+    except DegenerateSteps:
+        return None
+
+
+_PAIR_KINDS = {("N", "N"): PairKind.N_pair, ("R", "R"): PairKind.R_pair,
+               ("N", "R"): PairKind.NR_pair, ("R", "N"): PairKind.RN_pair}
+
+
+def _pair_label(c_k, d_k, c_km1, d_km1, gamma: float | None, rho_dom: float) -> PairLabel:
+    """The pair and strong-flag rules of classify_pair in null coordinates
+    c_i = B^T e_i, d_i = B^T w_{i+1}; ``gamma`` is None for degenerate updates."""
+    # per index: the null term (1/2) P_N e_i and the curvature proxy
+    terms = [(0.5 * c, c + d - 0.5 * c) for c, d in ((c_k, d_k), (c_km1, d_km1))]
+    labels = []
+    for t_null, t_curv in terms:
+        t_n, t_r = float(np.linalg.norm(t_null)), float(np.linalg.norm(t_curv))
+        if t_n == 0.0 and t_r == 0.0:
+            labels.append(None)
+        elif t_n >= rho_dom * t_r:
+            labels.append("N")
+        else:
+            labels.append("R" if t_r >= rho_dom * t_n else None)
+    kind = _PAIR_KINDS.get(tuple(labels), PairKind.undominated)
+    if kind is PairKind.undominated or gamma is None:
+        return PairLabel(kind=kind, strong=False)
+    # weights 1 - gamma at k and gamma at k - 1; terms[i][True] is the curvature term
+    (a_k, a_km1), (l_k, l_km1) = (1.0 - gamma, gamma), labels
+    combined = a_k * terms[0][l_k == "R"] + a_km1 * terms[1][l_km1 == "R"]
+    rest = a_k * terms[0][l_k == "N"] + a_km1 * terms[1][l_km1 == "N"]
+    strong = float(np.linalg.norm(combined)) >= rho_dom * float(np.linalg.norm(rest))
+    return PairLabel(kind=kind, strong=strong)
+
+
+def _compatible(pn_norm_next: float, rec: IterationRecord, C: float) -> bool:
+    """The compatibility rule ||P_N e_{k+1}|| <= C * theta_{k+1} * ||w_{k+1}||."""
+    return pn_norm_next <= C * rec.theta * rec.step_norm
 
 
 def classify_pair(
-    split_k: ErrorSplit,
-    split_km1: ErrorSplit,
-    w_next: np.ndarray,
-    w_k: np.ndarray,
-    p: NonlinearProblem,
-    rho_dom: float = 3.0,
+    split_k: ErrorSplit, split_km1: ErrorSplit, w_next: np.ndarray, w_k: np.ndarray,
+    p: NonlinearProblem, rho_dom: float = 3.0,
 ) -> PairLabel:
     """Classify the iterate pair by which error-expansion term dominates.
 
@@ -123,64 +165,19 @@ def classify_pair(
     sum dominates the remaining expansion terms by the same factor.
     """
     _require_truth(p)
-    basis = p.null_basis
-
-    labels = []
-    for split, w in ((split_k, w_next), (split_km1, w_k)):
-        t_n = 0.5 * float(np.linalg.norm(split.pn))
-        t_r = float(np.linalg.norm(_pn(basis, split.e + w) - 0.5 * split.pn))
-        if t_n == 0.0 and t_r == 0.0:
-            labels.append(None)
-        elif t_n >= rho_dom * t_r:
-            labels.append("N")
-        elif t_r >= rho_dom * t_n:
-            labels.append("R")
-        else:
-            labels.append(None)
-
-    composed = {
-        ("N", "N"): PairKind.N_pair,
-        ("R", "R"): PairKind.R_pair,
-        ("N", "R"): PairKind.NR_pair,
-        ("R", "N"): PairKind.RN_pair,
-    }.get((labels[0], labels[1]), PairKind.undominated)
-    if composed is PairKind.undominated:
-        return PairLabel(kind=composed, strong=False)
-
-    try:
-        gamma = lstsq_gamma(np.asarray(w_next, float), np.asarray(w_k, float))
-    except DegenerateSteps:
-        return PairLabel(kind=composed, strong=False)
-
-    t1 = (1.0 - gamma) * 0.5 * split_k.pn
-    t2 = gamma * 0.5 * split_km1.pn
-    t3 = (1.0 - gamma) * (_pn(basis, split_k.e + w_next) - 0.5 * split_k.pn)
-    t4 = gamma * (_pn(basis, split_km1.e + w_k) - 0.5 * split_km1.pn)
-    combined = {
-        PairKind.N_pair: t1 + t2,
-        PairKind.R_pair: t3 + t4,
-        PairKind.NR_pair: t1 + t4,
-        PairKind.RN_pair: t3 + t2,
-    }[composed]
-    rest = (t1 + t2 + t3 + t4) - combined
-    strong = float(np.linalg.norm(combined)) >= rho_dom * float(np.linalg.norm(rest))
-    return PairLabel(kind=composed, strong=strong)
+    b_t = p.null_basis.T
+    gamma = _raw_gamma(w_next, w_k)
+    return _pair_label(b_t @ split_k.e, b_t @ w_next, b_t @ split_km1.e, b_t @ w_k, gamma, rho_dom)
 
 
 def compatibility_monitor(
-    trace: list[IterationRecord],
-    splits: list[ErrorSplit],
-    C: float = 2.0,
+    trace: list[IterationRecord], splits: list[ErrorSplit], C: float = 2.0
 ) -> list[bool]:
     """Flag steps where ||P_N e_{k+1}|| <= C * theta_{k+1} * ||w_{k+1}||.
 
     ``splits`` must hold one entry per iterate (len(trace) + 1 of them).
     """
-    flags = []
-    for rec in trace:
-        lhs = float(np.linalg.norm(splits[rec.k + 1].pn))
-        flags.append(lhs <= C * rec.theta * rec.step_norm)
-    return flags
+    return [_compatible(float(np.linalg.norm(splits[rec.k + 1].pn)), rec, C) for rec in trace]
 
 
 def estimate_rate(norms) -> float:
@@ -231,59 +228,35 @@ class DiagnosticsReport:
 
 
 def diagnose_run(
-    p: NonlinearProblem,
-    outcome: SolveOutcome,
-    C: float = 2.0,
-    rho_dom: float = 3.0,
+    p: NonlinearProblem, outcome: SolveOutcome, C: float = 2.0, rho_dom: float = 3.0,
     noise_floor: float = 1e-13,
 ) -> DiagnosticsReport:
-    """Build the full diagnostics report for a solve with retained iterates.
+    """Build the diagnostics report from ``outcome.errors``.
 
-    Newton updates are recomputed from the iterate history (they are
-    deterministic), so the solver does not need to retain step vectors.
-    Entries whose null component is below the noise floor are excluded from
-    the rate fit; the estimates are None when the tail is too short.
+    Needs ground truth (p's, and an outcome solved on a problem with it) but
+    no iterate history, and makes no residual, Jacobian or linear-solve call.
+    proj_lm steps get no pair label.  Null components below the noise floor
+    are left out of the rate fit; the estimates are None on a short tail.
     """
-    from .solvers import newton_step  # local import to avoid a cycle
-
     _require_truth(p)
-    if outcome.iterate_history is None:
-        raise MissingGroundTruth("outcome has no iterate history; solve with keep_history")
+    errs = outcome.errors
+    if errs is None:
+        raise MissingGroundTruth(f"{p.name}: outcome solved without known_root and null_basis")
 
-    history = outcome.iterate_history
-    splits = [split_error(xk, p) for xk in history]
-    updates: list[np.ndarray | None] = []
-    for rec in outcome.trace:
-        try:
-            w, _ = newton_step(p, history[rec.k])
-        except SingularMatrix:
-            w = None
-        updates.append(w)
-
-    flags = compatibility_monitor(outcome.trace, splits, C)
+    pn = [float(np.linalg.norm(it.null)) for it in errs]
     steps = []
-    for rec, flag in zip(outcome.trace, flags):
+    for rec, prev, now, new in zip(outcome.trace, [None] + errs, errs, errs[1:]):
         k = rec.k
         pair = None
-        if k >= 1 and updates[k] is not None and updates[k - 1] is not None:
-            pair = classify_pair(
-                splits[k], splits[k - 1], updates[k], updates[k - 1], p, rho_dom
-            )
-        steps.append(
-            StepDiagnostics(
-                k=k,
-                sigma=splits[k].sigma,
-                pn_norm=float(np.linalg.norm(splits[k].pn)),
-                pr_norm=float(np.linalg.norm(splits[k].pr)),
-                theta=rec.theta,
-                pair=pair,
-                compatible=flag,
-            )
-        )
+        if prev is not None and new.update is not None and now.update is not None:
+            pair = _pair_label(now.null, new.update, prev.null, now.update, new.gamma, rho_dom)
+        steps.append(StepDiagnostics(
+            k=k, sigma=_sigma(now.range_norm, pn[k]), pn_norm=pn[k], pr_norm=now.range_norm,
+            theta=rec.theta, pair=pair, compatible=_compatible(pn[k + 1], rec, C),
+        ))
 
     scale = noise_floor * (1.0 + float(np.linalg.norm(p.known_root)))
-    tail = [float(np.linalg.norm(s.pn)) for s in splits]
-    tail = [v for v in tail if v > scale]
+    tail = [v for v in pn if v > scale]
     rate = order = None
     try:
         rate = estimate_rate(tail[-12:])
@@ -291,3 +264,22 @@ def diagnose_run(
     except (InsufficientTail, OutOfRange):
         pass
     return DiagnosticsReport(steps=steps, rate=rate, root_order=order)
+
+
+def error_recorder(p: NonlinearProblem, x0: np.ndarray):
+    """(errors, record) for a solve of p from x0: ``record(x, w)`` appends to
+    ``errors`` the IterateError of iterate x, which the Newton update w led to
+    (None if none did), and keeps a reference to w, not a copy, for the next gamma."""
+    root, basis, errors, last = p.known_root, p.null_basis, [], [None]
+
+    def record(x: np.ndarray, w: np.ndarray | None) -> None:
+        e = x - root
+        c, pn = _null_split(basis, e)
+        e -= pn
+        gamma = None if w is None or last[0] is None else _raw_gamma(w, last[0])
+        d = None if w is None else basis.T @ w
+        errors.append(IterateError(c, float(np.linalg.norm(e)), d, gamma))
+        last[0] = w
+
+    record(x0, None)
+    return errors, record

@@ -88,9 +88,9 @@ class RunReport:
 
 def resolve_problem(spec: ExperimentSpec) -> NonlinearProblem:
     if spec.problem == "heq":
-        return h_equation(HEquationSpec(n=spec.n or 500, omega=spec.omega))
+        return h_equation(HEquationSpec(n=500 if spec.n is None else spec.n, omega=spec.omega))
     if spec.problem == "multipoly":
-        return multipoly(MultipolySpec(n=spec.n or 10_000, k=spec.k))
+        return multipoly(MultipolySpec(n=10_000 if spec.n is None else spec.n, k=spec.k))
     return registry_entry(spec.problem)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig
+from .diagnostics import error_recorder, theta_gain
 from .linalg import DegenerateSteps, SingularMatrix, lstsq_gamma
 
 
@@ -48,13 +49,6 @@ class SafeguardDecision:
     lam: float
     took_newton_step: bool
     beta: float
-
-
-def newton_step(p: NonlinearProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton update w solving f'(x) w = -f(x); also returns f(x) for reuse."""
-    res = p.residual(x)
-    w = p.jacobian(x).solve(-res)
-    return w, res
 
 
 def anderson_combine(x_k, x_km1, w_next, w_prev, gamma: float) -> np.ndarray:
@@ -140,8 +134,9 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
     """The iteration every method shares, from ``start`` until a status in
     core.STATUSES applies.
 
-    ``step(k, x, fx, res, residual)`` returns the IterationRecord of step k and
-    the accepted iterate with its residual; it evaluates f only through
+    ``step(k, x, fx, res, residual)`` returns the IterationRecord of step k,
+    the accepted iterate with its residual, and the Newton update it solved
+    for at x (None if it solved for none); it evaluates f only through
     ``residual``, which counts the calls into ``SolveOutcome.f_evals``.  A
     SingularMatrix raised by a step ends the run before that step is recorded.
     """
@@ -158,12 +153,14 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
     res = float(np.linalg.norm(fx))
     trace: list[IterationRecord] = []
     history = [x.copy()] if keep_history else None
+    truth = p.known_root is not None and p.null_basis is not None
+    errors, record = error_recorder(p, x) if truth else (None, None)
     status = _stop_status(res, cfg.tol)
     if status is None:
         status = "max_iters"
         for k in range(cfg.max_iters):
             try:
-                rec, x, fx = step(k, x, fx, res, residual)
+                rec, x, fx, w = step(k, x, fx, res, residual)
             except SingularMatrix:
                 status = "singular_jacobian"
                 break
@@ -171,6 +168,8 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
             res = float(np.linalg.norm(fx))
             if history is not None:
                 history.append(x.copy())
+            if record is not None:
+                record(x, w)
             stop = _stop_status(res, cfg.tol)
             if stop is not None:
                 status = stop
@@ -182,6 +181,7 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
         f_evals=f_evals,
         trace=trace,
         iterate_history=history,
+        errors=errors,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -219,7 +219,7 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, anderson, safe
 
         if kind == "anderson":
             x_new = anderson_combine(x, x_prev, w, w_prev, gamma_used)
-            theta = float(np.linalg.norm(w - gamma_used * (w - w_prev))) / w_norm
+            theta = theta_gain(w, w_prev, gamma_used)
         else:
             x_new = x + w
 
@@ -246,7 +246,7 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, anderson, safe
             gamma_raw=gamma_raw, lam=lam, gamma_used=gamma_used, theta=theta,
             step_kind=kind, ls_evals=ls_evals,
         )
-        return rec, x_new, f_new
+        return rec, x_new, f_new, w
 
     return step
 
@@ -322,7 +322,7 @@ def _projected_lm_step(p: NonlinearProblem, project):
             gamma_raw=0.0, lam=1.0, gamma_used=0.0, theta=1.0,
             step_kind=kind, ls_evals=ls_evals,
         )
-        return rec, x_new, f_new
+        return rec, x_new, f_new, None
 
     return step
 

@@ -19,9 +19,15 @@ from nasolve.diagnostics import (
     split_error,
     theta_gain,
 )
-from nasolve.linalg import DenseJacobian
-from nasolve.problems import MultipolySpec, multipoly
-from nasolve.solvers import newton_anderson_solve, newton_solve
+from nasolve.linalg import DegenerateSteps, DenseJacobian, SingularMatrix, lstsq_gamma
+from nasolve.problems import (
+    HEquationSpec,
+    MultipolySpec,
+    h_equation,
+    multipoly,
+    with_ground_truth,
+)
+from nasolve.solvers import newton_anderson_solve, newton_solve, projected_lm_solve, solve
 
 
 def toy_problem(n=4):
@@ -283,8 +289,218 @@ class TestDiagnoseRun:
         assert report.root_order == pytest.approx(1.0, abs=0.5)
         assert report.steps[0].pair is None  # no previous iterate at k = 0
 
-    def test_requires_history(self):
+    def test_history_not_needed(self):
+        p = multipoly(MultipolySpec(n=200, k=3))
+        cfg = replace(SolverConfig(), r=0.7)
+        with_history = newton_anderson_solve(p, cfg, safeguard=True, keep_history=True)
+        without = newton_anderson_solve(p, cfg, safeguard=True)
+        assert without.iterate_history is None
+        assert diagnose_run(p, without) == diagnose_run(p, with_history)
+
+    def test_outcome_without_ground_truth_raises(self):
         p = multipoly(MultipolySpec(n=20, k=2))
-        out = newton_solve(p, SolverConfig())
+        out = newton_solve(replace(p, known_root=None, null_basis=None), SolverConfig())
+        assert out.errors is None
         with pytest.raises(MissingGroundTruth):
             diagnose_run(p, out)
+
+    def test_proj_lm_steps_get_no_pair(self):
+        p = multipoly(MultipolySpec(n=30, k=2))
+        out = projected_lm_solve(p, SolverConfig())
+        report = diagnose_run(p, out)
+        assert len(report.steps) == out.iterations > 1
+        assert all(s.pair is None for s in report.steps)
+
+    def test_no_residual_or_jacobian_calls(self):
+        p = multipoly(MultipolySpec(n=200, k=2))
+        calls = {"residual": 0, "jacobian": 0}
+
+        def counted(name, fn):
+            def call(x):
+                calls[name] += 1
+                return fn(x)
+            return call
+
+        p = replace(
+            p, residual=counted("residual", p.residual), jacobian=counted("jacobian", p.jacobian)
+        )
+        out = newton_anderson_solve(p, replace(SolverConfig(), r=0.7), safeguard=True)
+        assert calls["residual"] == out.f_evals and calls["jacobian"] == out.iterations
+        calls.update(residual=0, jacobian=0)
+        report = diagnose_run(p, out)
+        assert any(s.pair is not None for s in report.steps)
+        assert calls == {"residual": 0, "jacobian": 0}
+
+
+# The diagnosis as it was computed before solves recorded their errors: from
+# the iterate history, re-solving every Newton update, with the projections
+# done on n-vectors.  diagnose_run must agree with it.
+
+def _reference_split(x, p):
+    basis = p.null_basis
+    e = np.asarray(x, dtype=float) - p.known_root
+    pn = basis @ (basis.T @ e)
+    pr = e - pn
+    npn = float(np.linalg.norm(pn))
+    sigma = float("inf") if npn == 0.0 else float(np.linalg.norm(pr)) / npn
+    return e, pn, pr, sigma
+
+
+def _reference_classify_pair(split_k, split_km1, w_next, w_k, p, rho_dom):
+    basis = p.null_basis
+
+    def proj(v):
+        return basis @ (basis.T @ v)
+
+    labels = []
+    for (e, pn, _, _), w in ((split_k, w_next), (split_km1, w_k)):
+        t_n = 0.5 * float(np.linalg.norm(pn))
+        t_r = float(np.linalg.norm(proj(e + w) - 0.5 * pn))
+        if t_n == 0.0 and t_r == 0.0:
+            labels.append(None)
+        elif t_n >= rho_dom * t_r:
+            labels.append("N")
+        elif t_r >= rho_dom * t_n:
+            labels.append("R")
+        else:
+            labels.append(None)
+    composed = {
+        ("N", "N"): PairKind.N_pair,
+        ("R", "R"): PairKind.R_pair,
+        ("N", "R"): PairKind.NR_pair,
+        ("R", "N"): PairKind.RN_pair,
+    }.get((labels[0], labels[1]), PairKind.undominated)
+    if composed is PairKind.undominated:
+        return composed, False
+    try:
+        gamma = lstsq_gamma(w_next, w_k)
+    except DegenerateSteps:
+        return composed, False
+    (e_k, pn_k, _, _), (e_km1, pn_km1, _, _) = split_k, split_km1
+    t1 = (1.0 - gamma) * 0.5 * pn_k
+    t2 = gamma * 0.5 * pn_km1
+    t3 = (1.0 - gamma) * (proj(e_k + w_next) - 0.5 * pn_k)
+    t4 = gamma * (proj(e_km1 + w_k) - 0.5 * pn_km1)
+    combined = {
+        PairKind.N_pair: t1 + t2,
+        PairKind.R_pair: t3 + t4,
+        PairKind.NR_pair: t1 + t4,
+        PairKind.RN_pair: t3 + t2,
+    }[composed]
+    rest = (t1 + t2 + t3 + t4) - combined
+    return composed, float(np.linalg.norm(combined)) >= rho_dom * float(np.linalg.norm(rest))
+
+
+def _reference_diagnose_run(p, outcome, C=2.0, rho_dom=3.0, noise_floor=1e-13):
+    """Per step (k, sigma, pn_norm, pr_norm, pair kind or None, strong, compatible),
+    plus (rate, root_order)."""
+    history = outcome.iterate_history
+    splits = [_reference_split(x, p) for x in history]
+    updates = []
+    for rec in outcome.trace:
+        x = history[rec.k]
+        try:
+            updates.append(p.jacobian(x).solve(-p.residual(x)))
+        except SingularMatrix:
+            updates.append(None)
+    steps = []
+    for rec in outcome.trace:
+        k = rec.k
+        kind, strong = None, False
+        if k >= 1 and updates[k] is not None and updates[k - 1] is not None:
+            kind, strong = _reference_classify_pair(
+                splits[k], splits[k - 1], updates[k], updates[k - 1], p, rho_dom
+            )
+        _, pn, pr, sigma = splits[k]
+        compatible = float(np.linalg.norm(splits[k + 1][1])) <= C * rec.theta * rec.step_norm
+        steps.append((k, sigma, float(np.linalg.norm(pn)), float(np.linalg.norm(pr)),
+                      kind, strong, compatible))
+    scale = noise_floor * (1.0 + float(np.linalg.norm(p.known_root)))
+    tail = [float(np.linalg.norm(s[1])) for s in splits]
+    tail = [v for v in tail if v > scale]
+    rate = order = None
+    try:
+        rate = estimate_rate(tail[-12:])
+        order = estimate_root_order(rate)
+    except (InsufficientTail, OutOfRange):
+        pass
+    return steps, (rate, order)
+
+
+def _close(a, b):
+    if a is None or b is None or not np.isfinite(a) or not np.isfinite(b):
+        return a == b
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+def _assert_matches_reference(p, out):
+    ref_steps, ref_tail = _reference_diagnose_run(p, out)
+    report = diagnose_run(p, out)
+    assert len(report.steps) == len(ref_steps) == out.iterations
+    for s, (k, sigma, pn_norm, pr_norm, kind, strong, compatible) in zip(report.steps, ref_steps):
+        assert s.k == k
+        assert (s.pair.kind if s.pair else None) == kind, k
+        assert (s.pair.strong if s.pair else False) == strong, k
+        assert s.compatible == compatible, k
+        for got, want in ((s.sigma, sigma), (s.pn_norm, pn_norm), (s.pr_norm, pr_norm)):
+            assert _close(got, want), (k, got, want)
+    for got, want in zip((report.rate, report.root_order), ref_tail):
+        assert _close(got, want), (got, want)
+    return report
+
+
+NA_METHODS = ("newton", "n_anderson", "gamma_n_anderson", "armijo_n_anderson",
+              "gamma_armijo_n_anderson")
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_multipoly(self, k):
+        p = multipoly(MultipolySpec(n=2000, k=k))
+        cfg = replace(SolverConfig(), r=0.7)
+        paired = 0
+        for method in NA_METHODS:
+            report = _assert_matches_reference(p, solve(p, method, cfg, keep_history=True))
+            paired += sum(s.pair is not None for s in report.steps)
+        assert paired > 0
+
+    def test_h_equation_at_the_fold(self):
+        p = with_ground_truth(h_equation(HEquationSpec(n=300, omega=1.0)))
+        for method in ("newton", "n_anderson", "gamma_n_anderson"):
+            _assert_matches_reference(p, solve(p, method, SolverConfig(), keep_history=True))
+
+    def test_three_dimensional_null_space(self):
+        # f(x) = Q g(Q^T (x - x*)): range coordinates y_0..y_4 are regular,
+        # the null coordinates y_5..y_7 are quadratic, so the Jacobian at x*
+        # annihilates the last three columns of Q
+        n, m = 8, 3
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        root = rng.standard_normal(n)
+
+        def g(y):
+            out = y + 0.1 * y * y
+            out[n - m:] = y[n - m:] ** 2 + 0.5 * y[n - m:] * y[0]
+            return out
+
+        def residual(x):
+            return q @ g(q.T @ (x - root))
+
+        def jacobian(x):
+            y = q.T @ (x - root)
+            dg = np.diag(1.0 + 0.2 * y)
+            for j in range(n - m, n):
+                dg[j, :] = 0.0
+                dg[j, j] = 2.0 * y[j] + 0.5 * y[0]
+                dg[j, 0] += 0.5 * y[j]
+            return DenseJacobian(q @ dg @ q.T)
+
+        y0 = np.array([0.9, -0.7, 0.5, 0.8, -0.6, 0.05, -0.08, 0.1])
+        p = NonlinearProblem(
+            name="null3", dim=n, residual=residual, jacobian=jacobian,
+            start=root + q @ y0, known_root=root, null_basis=q[:, n - m:],
+        )
+        for method in NA_METHODS:
+            out = solve(p, method, SolverConfig(), keep_history=True)
+            assert out.converged, method
+            _assert_matches_reference(p, out)

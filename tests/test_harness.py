@@ -288,6 +288,13 @@ class TestCli:
         rc = cli.main(["--problem", "NoSuchProblem", "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("problem, least", [("heq", 1), ("multipoly", 2)])
+    def test_zero_size_is_error_exit(self, problem, least, tmp_path, capsys):
+        rc = cli.main(["--problem", problem, "--n", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"need n >= {least}, got 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 def test_write_summary_combines_reports(tmp_path):
     cfg = replace(SolverConfig(), r=0.5)

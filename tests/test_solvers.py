@@ -19,10 +19,15 @@ from nasolve.solvers import (
     gamma_safeguard,
     newton_anderson_solve,
     newton_solve,
-    newton_step,
     projected_lm_solve,
     solve,
 )
+
+
+def newton_step(p, x):
+    # the Newton update w solving f'(x) w = -f(x), and f(x)
+    res = p.residual(x)
+    return p.jacobian(x).solve(-res), res
 
 
 def square_problem():
