@@ -12,17 +12,11 @@ from .core import (
 )
 from .diagnostics import (
     DiagnosticsReport,
-    ErrorSplit,
-    NuRatio,
     PairKind,
     PairLabel,
-    classify_pair,
-    compatibility_monitor,
     diagnose_run,
     estimate_rate,
     estimate_root_order,
-    nu_ratio,
-    split_error,
     theta_gain,
 )
 from .linalg import (

@@ -45,11 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="repeatable; defaults to all methods",
     )
     parser.add_argument("--n", type=int, default=None, help="problem size (heq/multipoly)")
-    parser.add_argument("--omega", type=float, default=1.0, help="H-equation parameter")
-    parser.add_argument("--k", type=int, default=2, help="multipoly exponent (root order k-1)")
-    parser.add_argument("--r", type=float, default=0.9, help="safeguard parameter in (0,1)")
-    parser.add_argument("--tol", type=float, default=1e-8)
-    parser.add_argument("--max-iters", type=int, default=50)
+    parser.add_argument("--omega", type=float, default=ExperimentSpec.omega,
+                        help="H-equation parameter")
+    parser.add_argument("--k", type=int, default=ExperimentSpec.k,
+                        help="multipoly exponent (root order k-1)")
+    parser.add_argument("--r", type=float, default=SolverConfig.r,
+                        help="safeguard parameter in (0,1)")
+    parser.add_argument("--tol", type=float, default=SolverConfig.tol)
+    parser.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser

@@ -1,9 +1,11 @@
 """Runtime diagnostics for problems with a known root and null-space basis.
 
-Everything here works from quantities a solver already has (iterates and
-Newton updates); in particular the curvature term entering the pair-type
-classification is replaced by the second-derivative-free proxy
-P_N(e + w) - (1/2) P_N e, which is accurate to second order in the error.
+A solve of such a problem records, per iterate, the null coordinates and
+range norm of its error and the null coordinates of the Newton update that
+led to it (``error_recorder``); ``diagnose_run`` reads that record.  The
+curvature term entering the pair-type classification is replaced by the
+second-derivative-free proxy P_N(e + w) - (1/2) P_N e, which is accurate to
+second order in the error.
 """
 
 from __future__ import annotations
@@ -13,8 +15,12 @@ from enum import Enum
 
 import numpy as np
 
-from .core import IterateError, IterationRecord, NonlinearProblem, SolveOutcome
+from .core import IterateError, NonlinearProblem, SolveOutcome
 from .linalg import DegenerateSteps, lstsq_gamma
+
+COMPAT_C = 2.0  # step k is compatible if ||P_N e_{k+1}|| <= COMPAT_C * theta_{k+1} * ||w_{k+1}||
+RHO_DOM = 3.0  # a term dominates another when it is larger by this factor
+NOISE_FLOOR = 1e-13  # relative to 1 + ||x*||; smaller null components stay out of the rate fit
 
 
 class MissingGroundTruth(Exception):
@@ -33,20 +39,6 @@ class OutOfRange(Exception):
     """Contraction ratio outside (0,1); no root order can be inferred."""
 
 
-@dataclass
-class ErrorSplit:
-    """Error e = x - x* split into null and range components.
-
-    sigma = ||pr|| / ||pn|| measures the angle to the null space; it is the
-    infinity sentinel when the null component vanishes.
-    """
-
-    e: np.ndarray
-    pn: np.ndarray
-    pr: np.ndarray
-    sigma: float
-
-
 class PairKind(str, Enum):
     N_pair = "N_pair"
     R_pair = "R_pair"
@@ -61,37 +53,6 @@ class PairLabel:
     strong: bool
 
 
-@dataclass
-class NuRatio:
-    nu: float
-
-
-def _require_truth(p: NonlinearProblem):
-    if p.known_root is None or p.null_basis is None:
-        raise MissingGroundTruth(f"{p.name}: known_root and null_basis required")
-
-
-def _null_split(basis: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Null coordinates c = B^T v and P_N v = B c (np.dot: for a one-column
-    basis ``basis @ c`` takes about six times as long at n = 10^5, same bits)."""
-    c = basis.T @ v
-    return c, np.dot(basis, c)
-
-
-def _sigma(pr_norm: float, pn_norm: float) -> float:
-    return float("inf") if pn_norm == 0.0 else pr_norm / pn_norm
-
-
-def split_error(x: np.ndarray, p: NonlinearProblem) -> ErrorSplit:
-    """Orthogonal split of x - x* into null and range components."""
-    _require_truth(p)
-    e = np.asarray(x, dtype=float) - p.known_root
-    _, pn = _null_split(p.null_basis, e)
-    pr = e - pn
-    sigma = _sigma(float(np.linalg.norm(pr)), float(np.linalg.norm(pn)))
-    return ErrorSplit(e=e, pn=pn, pr=pr, sigma=sigma)
-
-
 def theta_gain(w_next: np.ndarray, w_prev: np.ndarray, gamma_used: float) -> float:
     """Optimization gain ||w_next - gamma*(w_next - w_prev)|| / ||w_next||."""
     w_next = np.asarray(w_next, dtype=float)
@@ -99,16 +60,6 @@ def theta_gain(w_next: np.ndarray, w_prev: np.ndarray, gamma_used: float) -> flo
     if nw == 0.0:
         raise ZeroStep("||w_next|| = 0")
     return float(np.linalg.norm(w_next - gamma_used * (w_next - np.asarray(w_prev)))) / nw
-
-
-def nu_ratio(gamma_used: float, a: float, b: float) -> NuRatio:
-    """min/max balance of the two safeguard products |1-g| a and |g| b."""
-    p1 = abs(1.0 - gamma_used) * a
-    p2 = abs(gamma_used) * b
-    lo, hi = min(p1, p2), max(p1, p2)
-    if lo == 0.0:
-        return NuRatio(nu=0.0)
-    return NuRatio(nu=lo / hi)
 
 
 def _raw_gamma(w_next: np.ndarray, w_prev: np.ndarray) -> float | None:  # None if degenerate
@@ -122,20 +73,25 @@ _PAIR_KINDS = {("N", "N"): PairKind.N_pair, ("R", "R"): PairKind.R_pair,
                ("N", "R"): PairKind.NR_pair, ("R", "N"): PairKind.RN_pair}
 
 
-def _pair_label(c_k, d_k, c_km1, d_km1, gamma: float | None, rho_dom: float) -> PairLabel:
-    """The pair and strong-flag rules of classify_pair in null coordinates
-    c_i = B^T e_i, d_i = B^T w_{i+1}; ``gamma`` is None for degenerate updates."""
-    # per index: the null term (1/2) P_N e_i and the curvature proxy
+def _pair_label(c_k, d_k, c_km1, d_km1, gamma: float | None) -> PairLabel:
+    """Classify the iterate pair (k, k - 1) by which error-expansion term dominates.
+
+    Per index i, in null coordinates c_i = B^T e_i and d_i = B^T w_{i+1}, the
+    competing terms are (1/2) P_N e_i and the curvature proxy
+    P_N(e_i + w_{i+1}) - (1/2) P_N e_i; one must exceed the other by the
+    factor RHO_DOM to count as dominant.  The strong flag checks whether the
+    recombined dominant terms dominate the rest by the same factor.
+    ``gamma`` is None for degenerate updates."""
     terms = [(0.5 * c, c + d - 0.5 * c) for c, d in ((c_k, d_k), (c_km1, d_km1))]
     labels = []
     for t_null, t_curv in terms:
         t_n, t_r = float(np.linalg.norm(t_null)), float(np.linalg.norm(t_curv))
         if t_n == 0.0 and t_r == 0.0:
             labels.append(None)
-        elif t_n >= rho_dom * t_r:
+        elif t_n >= RHO_DOM * t_r:
             labels.append("N")
         else:
-            labels.append("R" if t_r >= rho_dom * t_n else None)
+            labels.append("R" if t_r >= RHO_DOM * t_n else None)
     kind = _PAIR_KINDS.get(tuple(labels), PairKind.undominated)
     if kind is PairKind.undominated or gamma is None:
         return PairLabel(kind=kind, strong=False)
@@ -143,41 +99,8 @@ def _pair_label(c_k, d_k, c_km1, d_km1, gamma: float | None, rho_dom: float) -> 
     (a_k, a_km1), (l_k, l_km1) = (1.0 - gamma, gamma), labels
     combined = a_k * terms[0][l_k == "R"] + a_km1 * terms[1][l_km1 == "R"]
     rest = a_k * terms[0][l_k == "N"] + a_km1 * terms[1][l_km1 == "N"]
-    strong = float(np.linalg.norm(combined)) >= rho_dom * float(np.linalg.norm(rest))
+    strong = float(np.linalg.norm(combined)) >= RHO_DOM * float(np.linalg.norm(rest))
     return PairLabel(kind=kind, strong=strong)
-
-
-def _compatible(pn_norm_next: float, rec: IterationRecord, C: float) -> bool:
-    """The compatibility rule ||P_N e_{k+1}|| <= C * theta_{k+1} * ||w_{k+1}||."""
-    return pn_norm_next <= C * rec.theta * rec.step_norm
-
-
-def classify_pair(
-    split_k: ErrorSplit, split_km1: ErrorSplit, w_next: np.ndarray, w_k: np.ndarray,
-    p: NonlinearProblem, rho_dom: float = 3.0,
-) -> PairLabel:
-    """Classify the iterate pair by which error-expansion term dominates.
-
-    Per index i, the competing terms are (1/2)||P_N e_i|| and the proxy
-    ||P_N(e_i + w_{i+1}) - (1/2) P_N e_i|| for the curvature contribution;
-    one side must exceed the other by the factor rho_dom to count as
-    dominant.  The strong flag checks whether the corresponding recombined
-    sum dominates the remaining expansion terms by the same factor.
-    """
-    _require_truth(p)
-    b_t = p.null_basis.T
-    gamma = _raw_gamma(w_next, w_k)
-    return _pair_label(b_t @ split_k.e, b_t @ w_next, b_t @ split_km1.e, b_t @ w_k, gamma, rho_dom)
-
-
-def compatibility_monitor(
-    trace: list[IterationRecord], splits: list[ErrorSplit], C: float = 2.0
-) -> list[bool]:
-    """Flag steps where ||P_N e_{k+1}|| <= C * theta_{k+1} * ||w_{k+1}||.
-
-    ``splits`` must hold one entry per iterate (len(trace) + 1 of them).
-    """
-    return [_compatible(float(np.linalg.norm(splits[rec.k + 1].pn)), rec, C) for rec in trace]
 
 
 def estimate_rate(norms) -> float:
@@ -227,18 +150,16 @@ class DiagnosticsReport:
     root_order: float | None
 
 
-def diagnose_run(
-    p: NonlinearProblem, outcome: SolveOutcome, C: float = 2.0, rho_dom: float = 3.0,
-    noise_floor: float = 1e-13,
-) -> DiagnosticsReport:
+def diagnose_run(p: NonlinearProblem, outcome: SolveOutcome) -> DiagnosticsReport:
     """Build the diagnostics report from ``outcome.errors``.
 
     Needs ground truth (p's, and an outcome solved on a problem with it) but
     no iterate history, and makes no residual, Jacobian or linear-solve call.
-    proj_lm steps get no pair label.  Null components below the noise floor
-    are left out of the rate fit; the estimates are None on a short tail.
+    proj_lm steps get no pair label.  Null components below NOISE_FLOOR are
+    left out of the rate fit; the estimates are None on a short tail.
     """
-    _require_truth(p)
+    if p.known_root is None or p.null_basis is None:
+        raise MissingGroundTruth(f"{p.name}: known_root and null_basis required")
     errs = outcome.errors
     if errs is None:
         raise MissingGroundTruth(f"{p.name}: outcome solved without known_root and null_basis")
@@ -249,13 +170,14 @@ def diagnose_run(
         k = rec.k
         pair = None
         if prev is not None and new.update is not None and now.update is not None:
-            pair = _pair_label(now.null, new.update, prev.null, now.update, new.gamma, rho_dom)
+            pair = _pair_label(now.null, new.update, prev.null, now.update, new.gamma)
+        sigma = float("inf") if pn[k] == 0.0 else now.range_norm / pn[k]
         steps.append(StepDiagnostics(
-            k=k, sigma=_sigma(now.range_norm, pn[k]), pn_norm=pn[k], pr_norm=now.range_norm,
-            theta=rec.theta, pair=pair, compatible=_compatible(pn[k + 1], rec, C),
+            k=k, sigma=sigma, pn_norm=pn[k], pr_norm=now.range_norm, theta=rec.theta, pair=pair,
+            compatible=pn[k + 1] <= COMPAT_C * rec.theta * rec.step_norm,
         ))
 
-    scale = noise_floor * (1.0 + float(np.linalg.norm(p.known_root)))
+    scale = NOISE_FLOOR * (1.0 + float(np.linalg.norm(p.known_root)))
     tail = [v for v in pn if v > scale]
     rate = order = None
     try:
@@ -274,8 +196,10 @@ def error_recorder(p: NonlinearProblem, x0: np.ndarray):
 
     def record(x: np.ndarray, w: np.ndarray | None) -> None:
         e = x - root
-        c, pn = _null_split(basis, e)
-        e -= pn
+        c = basis.T @ e
+        # e -= P_N e = B c; np.dot: for a one-column basis ``basis @ c`` takes
+        # about six times as long at n = 10^5, same bits
+        e -= np.dot(basis, c)
         gamma = None if w is None or last[0] is None else _raw_gamma(w, last[0])
         d = None if w is None else basis.T @ w
         errors.append(IterateError(c, float(np.linalg.norm(e)), d, gamma))

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .core import NonlinearProblem, SolveOutcome, SolverConfig
 from .problems import (
+    REGISTRY_NAMES,
     HEquationSpec,
     MultipolySpec,
     ProblemUnavailable,
@@ -113,13 +114,12 @@ def run_registry(
     config: SolverConfig | None = None,
     names=None,
 ) -> list[RunReport]:
-    """Run the method list over the registry; untranscribed entries come back
-    as reports whose rows are marked skipped."""
-    from .problems import REGISTRY_NAMES
-
+    """Run the method list over the registry entries ``names`` (all of them
+    if None); untranscribed entries come back as reports whose rows are
+    marked skipped."""
     config = config or SolverConfig()
     reports = []
-    for name in names or REGISTRY_NAMES:
+    for name in REGISTRY_NAMES if names is None else names:
         try:
             spec = ExperimentSpec(problem=name, methods=tuple(methods), config=config)
             reports.append(run_experiment(spec))

@@ -18,6 +18,8 @@ import numpy as np
 from .core import NonlinearProblem, SolverConfig
 from .linalg import EPS, DenseJacobian, UpperTriangularPlusJacobian
 
+GROUND_TRUTH_TOL = 1e-13  # residual tolerance of the solve with_ground_truth takes as the root
+
 
 class ProblemUnavailable(Exception):
     """Registry entry exists by name but its source system is not transcribed."""
@@ -123,18 +125,18 @@ def multipoly(spec: MultipolySpec) -> NonlinearProblem:
     )
 
 
-def with_ground_truth(p: NonlinearProblem, tol: float = 1e-13) -> NonlinearProblem:
+def with_ground_truth(p: NonlinearProblem) -> NonlinearProblem:
     """Attach a numerically computed root and null direction to a problem.
 
-    The root is a high-accuracy safeguarded Newton-Anderson solve reused as
-    ground truth; the null direction is the right singular vector of the
-    Jacobian there with smallest singular value.  For problems that are only
+    The root is a safeguarded Newton-Anderson solve to ||f|| < GROUND_TRUTH_TOL;
+    the null direction is the right singular vector of the Jacobian there
+    with smallest singular value.  For problems that are only
     nearly singular at finite resolution the annihilation check in
     validate_problem reflects that honestly.
     """
     from .solvers import newton_anderson_solve  # local import to avoid a cycle
 
-    cfg = SolverConfig(tol=tol, max_iters=400)
+    cfg = SolverConfig(tol=GROUND_TRUTH_TOL, max_iters=400)
     out = newton_anderson_solve(p, cfg, safeguard=True)
     if not out.converged:
         raise RuntimeError(f"ground-truth solve failed on {p.name}: ||f|| = {out.final_res:.3e}")

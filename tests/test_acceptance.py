@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from nasolve.core import NonlinearProblem, SolverConfig
-from nasolve.diagnostics import estimate_rate, estimate_root_order, split_error
+from nasolve.diagnostics import estimate_rate, estimate_root_order
 from nasolve.harness import (
     ExperimentSpec,
     emit_report,
@@ -193,10 +193,15 @@ def test_criterion_05_gamma_optimality_oracle():
         wp = rng.standard_normal(dim)
         gamma = lstsq_gamma(w, wp)
         delta = w - wp
-        best = np.inf
-        for chunk in np.array_split(gamma + offsets, 5):
-            vals = np.linalg.norm(w[None, :] - chunk[:, None] * delta[None, :], axis=1)
-            best = min(best, float(vals.min()))
+        grid = gamma + offsets
+        # ||w - g delta||^2 over the grid, one component at a time
+        sq, term = np.zeros_like(grid), np.empty_like(grid)
+        for w_i, d_i in zip(w, delta):
+            np.multiply(grid, -d_i, out=term)
+            term += w_i
+            term *= term
+            sq += term
+        best = float(np.sqrt(sq.min()))
         obj = float(np.linalg.norm(w - gamma * delta))
         assert obj <= best + 1e-12
         w_norm = float(np.linalg.norm(w))
@@ -225,8 +230,8 @@ def test_criterion_07_rate_and_root_order_recovery():
     for k in (2, 3, 7):
         d = k - 1
         p = multipoly(MultipolySpec(n=10_000, k=k))
-        out = newton_solve(p, CFG, keep_history=True)
-        norms = [float(np.linalg.norm(split_error(x, p).pn)) for x in out.iterate_history]
+        out = newton_solve(p, CFG)
+        norms = [float(np.linalg.norm(it.null)) for it in out.errors]
         rho = estimate_rate([v for v in norms if v > 1e-12])
         target = d / (d + 1.0)
         assert abs(rho - target) / target <= 0.05, f"k={k}: rho {rho} vs {target}"
@@ -239,21 +244,26 @@ def test_criterion_07_rate_and_root_order_recovery():
 def _gamma_na_run_k2():
     p = multipoly(MultipolySpec(n=10_000, k=2))
     cfg = replace(CFG, r=0.7)
-    out = newton_anderson_solve(p, cfg, safeguard=True, keep_history=True)
+    out = newton_anderson_solve(p, cfg, safeguard=True)
     assert out.converged
     return p, out
+
+
+def _null_and_range_norms(out):
+    """||P_N e_k|| and ||P_R e_k|| per iterate, from the solve's record."""
+    pn = [float(np.linalg.norm(it.null)) for it in out.errors]
+    return pn, [it.range_norm for it in out.errors]
 
 
 def test_criterion_08_range_component_quadratic_law():
     """Safeguarded run on the order-one polynomial: log-log regression of
     ||P_R e_{k+1}|| against max(||e_k||, ||e_{k-1}||) has slope >= 1.8 over
     the convergent tail."""
-    p, out = _gamma_na_run_k2()
-    splits = [split_error(x, p) for x in out.iterate_history]
-    e = [float(np.linalg.norm(s.e)) for s in splits]
-    pr = [float(np.linalg.norm(s.pr)) for s in splits]
+    _, out = _gamma_na_run_k2()
+    pn, pr = _null_and_range_norms(out)
+    e = [float(np.hypot(a, b)) for a, b in zip(pn, pr)]
     xs, ys = [], []
-    for k in range(1, len(splits) - 1):
+    for k in range(1, len(e) - 1):
         m = max(e[k], e[k - 1])
         if pr[k + 1] > 1e-14 and m > 0.0:
             xs.append(np.log(m))
@@ -268,8 +278,7 @@ def test_criterion_09_null_component_theta_scaling():
     """Same run: ||P_N e_{k+1}|| <= theta_{k+1} ||P_N e_k|| for every k >= 2
     in the convergent tail (existential kappa < 1 tested at kappa = 1)."""
     p, out = _gamma_na_run_k2()
-    splits = [split_error(x, p) for x in out.iterate_history]
-    pn = [float(np.linalg.norm(s.pn)) for s in splits]
+    pn, _ = _null_and_range_norms(out)
     floor = 1e-13 * (1.0 + float(np.linalg.norm(p.known_root)))
     checked = 0
     for rec in out.trace:

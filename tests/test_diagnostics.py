@@ -3,20 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nasolve.core import NonlinearProblem, SolverConfig
+from nasolve.core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig
 from nasolve.diagnostics import (
     InsufficientTail,
     MissingGroundTruth,
     OutOfRange,
     PairKind,
     ZeroStep,
-    classify_pair,
-    compatibility_monitor,
     diagnose_run,
+    error_recorder,
     estimate_rate,
     estimate_root_order,
-    nu_ratio,
-    split_error,
     theta_gain,
 )
 from nasolve.linalg import DegenerateSteps, DenseJacobian, SingularMatrix, lstsq_gamma
@@ -45,18 +42,42 @@ def toy_problem(n=4):
     )
 
 
+def _recorded(p, xs, ws):
+    """The record a solve of p keeps for iterates xs, where the Newton update
+    ws[i] led from xs[i] to xs[i + 1]."""
+    errors, record = error_recorder(p, xs[0])
+    for x, w in zip(xs[1:], ws):
+        record(x, w)
+    return errors
+
+
+def _hand_run(errors, theta=1.0):
+    """An outcome holding ``errors`` and one anderson step per iterate after the first."""
+    trace = [
+        IterationRecord(k=k, res_norm=1.0, step_norm=1.0, gamma_raw=0.0, lam=1.0,
+                        gamma_used=0.0, theta=theta, step_kind="anderson")
+        for k in range(len(errors) - 1)
+    ]
+    return SolveOutcome(final_res=0.0, x=np.zeros(1), status="converged",
+                        f_evals=len(errors), trace=trace, errors=errors)
+
+
 class TestSplitError:
+    """The null/range split of the error that a solve records per iterate."""
+
     def test_coordinate_projection(self):
         p = toy_problem(4)
-        s = split_error(np.ones(4), p)
-        np.testing.assert_allclose(s.pn, [0, 0, 0, 1.0])
-        np.testing.assert_allclose(s.pr, [1.0, 1.0, 1.0, 0])
-        assert s.sigma == pytest.approx(np.sqrt(3.0))
+        errors = _recorded(p, [np.ones(4), np.zeros(4)], [-np.ones(4)])
+        np.testing.assert_allclose(errors[0].null, [1.0])
+        assert errors[0].range_norm == pytest.approx(np.sqrt(3.0))
+        np.testing.assert_allclose(errors[1].update, [-1.0])
+        assert diagnose_run(p, _hand_run(errors)).steps[0].sigma == pytest.approx(np.sqrt(3.0))
 
     def test_zero_error_gives_infinite_sigma(self):
-        s = split_error(np.zeros(4), toy_problem(4))
-        assert np.all(s.pn == 0) and np.all(s.pr == 0)
-        assert s.sigma == np.inf
+        p = toy_problem(4)
+        errors = _recorded(p, [np.zeros(4), np.zeros(4)], [np.zeros(4)])
+        assert np.all(errors[0].null == 0) and errors[0].range_norm == 0.0
+        assert diagnose_run(p, _hand_run(errors)).steps[0].sigma == np.inf
 
     def test_random_basis_pythagoras_and_idempotence(self):
         rng = np.random.default_rng(12)
@@ -69,13 +90,13 @@ class TestSplitError:
         )
         for _ in range(50):
             e = rng.standard_normal(n)
-            s = split_error(e, p)
-            np.testing.assert_allclose(s.pn + s.pr, e, atol=1e-12)
-            assert abs(np.dot(s.pn, s.pr)) <= 1e-10 * np.linalg.norm(s.pn) * np.linalg.norm(s.pr)
-            assert abs(np.dot(e, e) - (s.pn @ s.pn + s.pr @ s.pr)) <= 1e-12 * max(1.0, e @ e)
-            # idempotence: projecting the null component changes nothing
-            s2 = split_error(s.pn, p)
-            np.testing.assert_allclose(s2.pn, s.pn, atol=1e-12)
+            (split,) = _recorded(p, [e], [])
+            c = split.null
+            assert abs(np.dot(e, e) - (c @ c + split.range_norm**2)) <= 1e-12 * max(1.0, e @ e)
+            # idempotence: the null component P_N e = Q c splits into itself
+            (again,) = _recorded(p, [q @ c], [])
+            np.testing.assert_allclose(again.null, c, atol=1e-12)
+            assert again.range_norm <= 1e-12
 
     def test_missing_truth_raises(self):
         p = NonlinearProblem(
@@ -83,7 +104,7 @@ class TestSplitError:
             jacobian=lambda x: DenseJacobian(np.eye(2)), start=np.ones(2),
         )
         with pytest.raises(MissingGroundTruth):
-            split_error(np.ones(2), p)
+            diagnose_run(p, _hand_run(_recorded(toy_problem(2), [np.ones(2)], [])))
 
 
 class TestThetaGain:
@@ -117,23 +138,13 @@ class TestThetaGain:
             assert base <= theta_gain(w, wp, cand) + 1e-12
 
 
+def _balance(gamma, a, b):
+    """min/max balance nu of the two safeguard products |1 - gamma| a and |gamma| b."""
+    p1, p2 = abs(1.0 - gamma) * a, abs(gamma) * b
+    return 0.0 if min(p1, p2) == 0.0 else min(p1, p2) / max(p1, p2)
+
+
 class TestNuRatio:
-    def test_equal_products(self):
-        assert nu_ratio(0.5, 1.0, 1.0).nu == pytest.approx(1.0)
-
-    def test_vanishing_product(self):
-        assert nu_ratio(0.0, 1.0, 1.0).nu == 0.0
-        assert nu_ratio(0.5, 0.0, 1.0).nu == 0.0
-
-    def test_hand_value(self):
-        assert nu_ratio(1.0 / 3.0, 1.0, 4.0).nu == pytest.approx(0.5)
-
-    def test_bounded_by_one(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            v = nu_ratio(rng.uniform(-2, 2), rng.uniform(0, 3), rng.uniform(0, 3)).nu
-            assert 0.0 <= v <= 1.0
-
     def test_exactly_r_after_scaling_branch(self):
         # with the update norms substituted, the scaled coefficient makes the
         # balance hit r exactly
@@ -148,7 +159,7 @@ class TestNuRatio:
             if dec.took_newton_step or dec.lam == 1.0:
                 continue
             fired += 1
-            nu = nu_ratio(dec.lam * gamma, wn, wp).nu
+            nu = _balance(dec.lam * gamma, wn, wp)
             assert nu == pytest.approx(r, abs=1e-10)
             assert nu <= 1.5 * r
         assert fired > 50
@@ -164,46 +175,46 @@ class TestNuRatio:
             for prev, rec in zip(out.trace, out.trace[1:]):
                 if rec.lam < 1.0:
                     fired += 1
-                    nu = nu_ratio(rec.gamma_used, rec.step_norm, prev.step_norm).nu
+                    nu = _balance(rec.gamma_used, rec.step_norm, prev.step_norm)
                     assert nu <= 1.5 * cfg.r
             assert fired > 0
 
 
+def _pair(e_k, e_km1, w_next, w_k):
+    """The pair label diagnose_run gives step k = 1 of a run on the toy problem
+    through x_0 = e_km1, x_1 = e_k and x_2 = e_k + w_next (the root is 0)."""
+    p = toy_problem(4)
+    errors = _recorded(p, [e_km1, e_k, e_k + w_next], [w_k, w_next])
+    return diagnose_run(p, _hand_run(errors)).steps[1].pair
+
+
 class TestClassifyPair:
     def test_pure_null_errors_make_n_pair(self):
-        p = toy_problem(4)
         e_k = np.array([0.0, 0.0, 0.0, 0.1])
         e_km1 = np.array([0.0, 0.0, 0.0, 0.2])
         # Newton-like updates halve the null component
-        w_next, w_k = -0.5 * e_k, -0.5 * e_km1
-        label = classify_pair(split_error(e_k, p), split_error(e_km1, p), w_next, w_k, p)
+        label = _pair(e_k, e_km1, -0.5 * e_k, -0.5 * e_km1)
         assert label.kind is PairKind.N_pair
         assert label.strong
 
     def test_pure_range_error_makes_r_pair(self):
-        p = toy_problem(4)
         e_k = np.array([0.01, 0.0, 0.0, 0.0])
         e_km1 = np.array([0.02, 0.0, 0.0, 0.0])
         # updates whose compensated null part dominates the (zero) null error
         w_next = -e_k + np.array([0.0, 0.0, 0.0, 1e-4])
         w_k = -e_km1 + np.array([0.0, 0.0, 0.0, 2e-4])
-        label = classify_pair(split_error(e_k, p), split_error(e_km1, p), w_next, w_k, p)
-        assert label.kind is PairKind.R_pair
+        assert _pair(e_k, e_km1, w_next, w_k).kind is PairKind.R_pair
 
     def test_mixed_pair(self):
-        p = toy_problem(4)
         e_k = np.array([0.0, 0.0, 0.0, 0.1])       # null side at k
         e_km1 = np.array([0.02, 0.0, 0.0, 0.0])    # range side at k-1
         w_next = -0.5 * e_k
         w_k = -e_km1 + np.array([0.0, 0.0, 0.0, 2e-4])
-        label = classify_pair(split_error(e_k, p), split_error(e_km1, p), w_next, w_k, p)
-        assert label.kind is PairKind.NR_pair
+        assert _pair(e_k, e_km1, w_next, w_k).kind is PairKind.NR_pair
 
     def test_late_iterations_on_multipoly_are_n_pairs(self):
         p = multipoly(MultipolySpec(n=100, k=2))
-        out = newton_anderson_solve(
-            p, replace(SolverConfig(), r=0.7), safeguard=True, keep_history=True
-        )
+        out = newton_anderson_solve(p, replace(SolverConfig(), r=0.7), safeguard=True)
         assert out.converged
         report = diagnose_run(p, out)
         late = [s.pair for s in report.steps if s.pair is not None][-3:]
@@ -212,29 +223,23 @@ class TestClassifyPair:
 
 class TestCompatibilityMonitor:
     def test_zero_rhs_with_positive_lhs_is_false(self):
-        from nasolve.core import IterationRecord
-
         p = toy_problem(2)
-        splits = [split_error(np.ones(2), p), split_error(np.array([0.0, 0.5]), p)]
-        rec = IterationRecord(k=0, res_norm=1, step_norm=1, gamma_raw=0, lam=1,
-                              gamma_used=0, theta=0.0, step_kind="anderson")
-        assert compatibility_monitor([rec], splits) == [False]
+        x1 = np.array([0.0, 0.5])
+        errors = _recorded(p, [np.ones(2), x1], [x1 - np.ones(2)])
+        report = diagnose_run(p, _hand_run(errors, theta=0.0))
+        assert [s.compatible for s in report.steps] == [False]
 
     def test_zero_lhs_is_true(self):
-        from nasolve.core import IterationRecord
-
         p = toy_problem(2)
-        splits = [split_error(np.ones(2), p), split_error(np.array([0.5, 0.0]), p)]
-        rec = IterationRecord(k=0, res_norm=1, step_norm=1, gamma_raw=0, lam=1,
-                              gamma_used=0, theta=0.0, step_kind="anderson")
-        assert compatibility_monitor([rec], splits) == [True]
+        x1 = np.array([0.5, 0.0])
+        errors = _recorded(p, [np.ones(2), x1], [x1 - np.ones(2)])
+        report = diagnose_run(p, _hand_run(errors, theta=0.0))
+        assert [s.compatible for s in report.steps] == [True]
 
     def test_strong_n_pair_steps_compatible_on_multipoly(self):
         p = multipoly(MultipolySpec(n=100, k=2))
-        out = newton_anderson_solve(
-            p, replace(SolverConfig(), r=0.7), safeguard=True, keep_history=True
-        )
-        report = diagnose_run(p, out, C=2.0)
+        out = newton_anderson_solve(p, replace(SolverConfig(), r=0.7), safeguard=True)
+        report = diagnose_run(p, out)
         flagged = [
             s for s in report.steps
             if s.pair is not None and s.pair.kind is PairKind.N_pair and s.pair.strong
@@ -257,8 +262,8 @@ class TestRateEstimation:
     def test_newton_multipoly_rate_recovery(self):
         # the null component contracts by d/(d+1) per step
         p = multipoly(MultipolySpec(n=100, k=3))
-        out = newton_solve(p, SolverConfig(), keep_history=True)
-        norms = [np.linalg.norm(split_error(x, p).pn) for x in out.iterate_history]
+        out = newton_solve(p, SolverConfig())
+        norms = [np.linalg.norm(it.null) for it in out.errors]
         rho = estimate_rate([v for v in norms if v > 1e-12])
         assert rho == pytest.approx(2.0 / 3.0, abs=0.05)
 
@@ -273,8 +278,8 @@ class TestRateEstimation:
 
     def test_high_order_recovery(self):
         p = multipoly(MultipolySpec(n=100, k=7))
-        out = newton_solve(p, SolverConfig(), keep_history=True)
-        norms = [np.linalg.norm(split_error(x, p).pn) for x in out.iterate_history]
+        out = newton_solve(p, SolverConfig())
+        norms = [np.linalg.norm(it.null) for it in out.errors]
         rho = estimate_rate([v for v in norms if v > 1e-12])
         assert estimate_root_order(rho) == pytest.approx(6.0, abs=0.5)
 
@@ -282,7 +287,7 @@ class TestRateEstimation:
 class TestDiagnoseRun:
     def test_report_shape_and_estimates(self):
         p = multipoly(MultipolySpec(n=100, k=2))
-        out = newton_solve(p, SolverConfig(), keep_history=True)
+        out = newton_solve(p, SolverConfig())
         report = diagnose_run(p, out)
         assert len(report.steps) == out.iterations
         assert report.rate == pytest.approx(0.5, abs=0.05)

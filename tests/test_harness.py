@@ -114,6 +114,11 @@ class TestRunRegistry:
         recs = summary_records([by_name["Dayton10"]])
         assert recs[0]["iterations"] == "F" and recs[0]["lm_ls_pg"] == "skipped"
 
+    def test_names_select_entries(self):
+        assert run_registry((MethodId.newton,), names=()) == []
+        reports = run_registry((MethodId.newton,), names=("Himmelbau", "Dayton10"))
+        assert [r.problem for r in reports] == ["Himmelbau", "Dayton10"]
+
 
 class TestEmitReport:
     def test_csv_layout_and_roundtrip(self, tmp_path):
@@ -283,6 +288,12 @@ class TestCli:
         assert "skipped (not transcribed)" in out
         assert "Dayton10" in out
         assert (tmp_path / "registry_summary.csv").exists()
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        args = cli.build_parser().parse_args(["--problem", "heq"])
+        cfg, spec = SolverConfig(), ExperimentSpec(problem="heq", methods=tuple(MethodId))
+        assert (args.r, args.tol, args.max_iters) == (cfg.r, cfg.tol, cfg.max_iters)
+        assert (args.omega, args.k, args.n) == (spec.omega, spec.k, spec.n)
 
     def test_unknown_problem_is_error_exit(self, tmp_path, capsys):
         rc = cli.main(["--problem", "NoSuchProblem", "--out", str(tmp_path)])
