@@ -24,10 +24,8 @@ from .linalg import (
     DenseJacobian,
     JacobianMatrix,
     SingularMatrix,
-    UpperTriangularPlusJacobian,
+    UpperBidiagonalJacobian,
     lstsq_gamma,
-    lu_solve,
-    structured_solve,
 )
 from .problems import (
     HEquationSpec,

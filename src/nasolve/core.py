@@ -159,14 +159,14 @@ def validate_problem(p: NonlinearProblem) -> list[str]:
         root = p.known_root
         rnorm = float(np.linalg.norm(p.residual(root)))
         thresh = 1e-10 * (1.0 + float(np.linalg.norm(root)))
-        if rnorm > thresh:
+        if not rnorm <= thresh:
             violations.append(
                 f"residual at known_root: ||f(x*)|| = {rnorm:.3e} exceeds {thresh:.3e}"
             )
         if p.null_basis is not None:
             basis = p.null_basis
             gram_err = float(np.abs(basis.T @ basis - np.eye(basis.shape[1])).max())
-            if gram_err > 1e-12:
+            if not gram_err <= 1e-12:
                 violations.append(
                     f"null_basis not orthonormal: max |B^T B - I| = {gram_err:.3e} exceeds 1e-12"
                 )
@@ -174,7 +174,7 @@ def validate_problem(p: NonlinearProblem) -> list[str]:
             scale = max(1.0, jac.max_abs())
             for j in range(basis.shape[1]):
                 jb = float(np.linalg.norm(jac.matvec(basis[:, j])))
-                if jb > 1e-8 * scale:
+                if not jb <= 1e-8 * scale:
                     violations.append(
                         f"null_basis column {j} not annihilated: ||J(x*) b|| = {jb:.3e} "
                         f"exceeds {1e-8 * scale:.3e}"

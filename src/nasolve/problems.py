@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import NonlinearProblem, SolverConfig
-from .linalg import EPS, DenseJacobian, UpperTriangularPlusJacobian
+from .linalg import EPS, DenseJacobian, UpperBidiagonalJacobian
+from .solvers import newton_anderson_solve
 
 GROUND_TRUTH_TOL = 1e-13  # residual tolerance of the solve with_ground_truth takes as the root
 
@@ -91,9 +92,9 @@ def multipoly(spec: MultipolySpec) -> NonlinearProblem:
     """Chained polynomial f_i = x_i^2 + x_i - x_{i+1}^k, f_n = x_n^k.
 
     The zero vector is a root of order k-1 with null space spanned by e_n.
-    The Jacobian is upper bidiagonal (diag 2x+1, superdiag -k x^{k-1}) with
-    corner entry k x_n^{k-1}, so each linear solve costs O(n).  Start point:
-    x_n = 0.9 and x_j = 0.3 elsewhere.
+    The Jacobian is upper bidiagonal: diag 2x_i+1 for i < n, last diagonal
+    entry k x_n^{k-1}, and superdiag -k x_{i+1}^{k-1}, so each linear solve
+    costs O(n).  Start point: x_n = 0.9 and x_j = 0.3 elsewhere.
     """
     n, k = spec.n, spec.k
 
@@ -105,9 +106,9 @@ def multipoly(spec: MultipolySpec) -> NonlinearProblem:
 
     def jacobian(x):
         diag = 2.0 * x + 1.0
+        diag[-1] = k * x[-1] ** (k - 1)
         superdiag = -k * x[1:] ** (k - 1)
-        corner = k * x[-1] ** (k - 1)
-        return UpperTriangularPlusJacobian(diag, superdiag, corner)
+        return UpperBidiagonalJacobian(diag, superdiag)
 
     start = np.full(n, 0.3)
     start[-1] = 0.9
@@ -134,8 +135,6 @@ def with_ground_truth(p: NonlinearProblem) -> NonlinearProblem:
     nearly singular at finite resolution the annihilation check in
     validate_problem reflects that honestly.
     """
-    from .solvers import newton_anderson_solve  # local import to avoid a cycle
-
     cfg = SolverConfig(tol=GROUND_TRUTH_TOL, max_iters=400)
     out = newton_anderson_solve(p, cfg, safeguard=True)
     if not out.converged:

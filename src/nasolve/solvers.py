@@ -272,9 +272,10 @@ def _projected_lm_step(p: NonlinearProblem, project):
 
     def step(k, x, fx, res, residual):
         jac = p.jacobian(x).to_dense()
-        grad = 2.0 * (jac.T @ fx)
+        jtf = jac.T @ fx
+        grad = 2.0 * jtf
         normal = jac.T @ jac
-        rhs = -(jac.T @ fx)
+        rhs = -jtf
         g0 = res * res
         # the subproblem matrix is positive definite for mu > 0, so factor by
         # Cholesky and bump the damping if conditioning defeats it numerically

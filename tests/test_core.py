@@ -52,6 +52,45 @@ def test_non_orthonormal_basis_is_reported():
     assert any("orthonormal" in v for v in validate_problem(tweaked))
 
 
+def _two_dim_problem(residual=None, jacobian=None, null_basis=None):
+    # a clean instance unless a keyword swaps one piece: f(x) = (x_1, 0) with
+    # root 0 and null direction e_2
+    return NonlinearProblem(
+        name="nan_case",
+        dim=2,
+        residual=residual or (lambda x: np.array([x[0], 0.0])),
+        jacobian=jacobian or (lambda x: DenseJacobian(np.array([[1.0, 0.0], [0.0, 0.0]]))),
+        start=np.ones(2),
+        known_root=np.zeros(2),
+        null_basis=np.array([[0.0], [1.0]]) if null_basis is None else null_basis,
+    )
+
+
+class TestValidateProblemNaN:
+    """A NaN must be reported, not slip through a comparison that is false for NaN."""
+
+    def test_clean_instance_passes(self):
+        assert validate_problem(_two_dim_problem()) == []
+
+    def test_nan_residual_at_root(self):
+        p = _two_dim_problem(residual=lambda x: np.array([np.nan, 0.0]))
+        violations = validate_problem(p)
+        assert len(violations) == 1
+        assert "residual at known_root" in violations[0]
+
+    def test_nan_null_basis(self):
+        p = _two_dim_problem(null_basis=np.array([[np.nan], [0.0]]))
+        assert any("orthonormal" in v for v in validate_problem(p))
+
+    def test_nan_jacobian_entry_at_root(self):
+        p = _two_dim_problem(
+            jacobian=lambda x: DenseJacobian(np.array([[1.0, np.nan], [0.0, 0.0]]))
+        )
+        violations = validate_problem(p)
+        assert len(violations) == 1
+        assert "not annihilated" in violations[0]
+
+
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()

@@ -9,10 +9,8 @@ from nasolve.linalg import (
     DegenerateSteps,
     DenseJacobian,
     SingularMatrix,
-    UpperTriangularPlusJacobian,
+    UpperBidiagonalJacobian,
     lstsq_gamma,
-    lu_solve,
-    structured_solve,
 )
 from nasolve.problems import MultipolySpec, multipoly
 from nasolve.solvers import newton_anderson_solve
@@ -22,11 +20,11 @@ def _reference_structured_solve(a, b):
     """Row-by-row back substitution, the reference for the LAPACK path."""
     b = np.asarray(b, dtype=float)
     n = a.n
-    if a.corner == 0.0:
-        raise SingularMatrix("corner pivot is exactly zero")
-    x = np.empty(n)
-    x[-1] = b[-1] / a.corner
     d, s = a.diag, a.superdiag
+    if d[-1] == 0.0:
+        raise SingularMatrix("last pivot is exactly zero")
+    x = np.empty(n)
+    x[-1] = b[-1] / d[-1]
     for i in range(n - 2, -1, -1):
         if abs(d[i]) <= EPS * abs(s[i]):
             raise SingularMatrix(
@@ -42,20 +40,20 @@ def _rel_err(x, ref):
 
 class TestLuSolve:
     def test_identity(self):
-        x = lu_solve(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        x = DenseJacobian(np.eye(3)).solve(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(x, [1.0, 2.0, 3.0], rtol=0, atol=0)
 
     def test_diagonal(self):
-        x = lu_solve(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 4.0]))
+        x = DenseJacobian(np.array([[2.0, 0.0], [0.0, 4.0]])).solve(np.array([2.0, 4.0]))
         np.testing.assert_allclose(x, [1.0, 1.0])
 
     def test_exactly_singular(self):
         with pytest.raises(SingularMatrix):
-            lu_solve(np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
+            DenseJacobian(np.array([[0.0, 0.0], [0.0, 1.0]])).solve(np.array([1.0, 1.0]))
 
     def test_zero_matrix(self):
         with pytest.raises(SingularMatrix):
-            lu_solve(np.zeros((2, 2)), np.ones(2))
+            DenseJacobian(np.zeros((2, 2))).solve(np.ones(2))
 
     def test_accepts_dense_jacobian(self):
         a = DenseJacobian(np.array([[2.0, 1.0], [1.0, 3.0]]))
@@ -68,7 +66,7 @@ class TestLuSolve:
         for _ in range(20):
             a = rng.standard_normal((50, 50)) + 50.0 * np.eye(50)
             b = rng.standard_normal(50)
-            x = lu_solve(a, b)
+            x = DenseJacobian(a).solve(b)
             assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-10
 
 
@@ -104,19 +102,19 @@ class TestDenseMaxAbs:
 
 class TestStructuredSolve:
     def test_identity_like(self):
-        a = UpperTriangularPlusJacobian(np.array([1.0, 1.0]), np.array([0.0]), 1.0)
-        np.testing.assert_allclose(structured_solve(a, np.array([1.0, 1.0])), [1.0, 1.0])
+        a = UpperBidiagonalJacobian(np.array([1.0, 1.0]), np.array([0.0]))
+        np.testing.assert_allclose(a.solve(np.array([1.0, 1.0])), [1.0, 1.0])
 
     def test_corner_zero_singular(self):
         # the chained-polynomial Jacobian at the zero root
-        a = UpperTriangularPlusJacobian(np.ones(4), np.zeros(3), 0.0)
-        with pytest.raises(SingularMatrix):
-            structured_solve(a, np.ones(4))
+        a = UpperBidiagonalJacobian(np.array([1.0, 1.0, 1.0, 0.0]), np.zeros(3))
+        with pytest.raises(SingularMatrix, match="last pivot"):
+            a.solve(np.ones(4))
 
     def test_zero_middle_pivot_singular(self):
-        a = UpperTriangularPlusJacobian(np.array([1.0, 0.0, 1.0]), np.array([1.0, 1.0]), 1.0)
+        a = UpperBidiagonalJacobian(np.array([1.0, 0.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(SingularMatrix):
-            structured_solve(a, np.ones(3))
+            a.solve(np.ones(3))
 
     def test_matches_dense_on_random_instances(self):
         # oracle: dense LU on the densified matrix, n <= 200
@@ -124,24 +122,75 @@ class TestStructuredSolve:
         for n in (2, 3, 10, 57, 200):
             diag = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
             sup = rng.standard_normal(n - 1)
-            corner = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-            a = UpperTriangularPlusJacobian(diag, sup, corner)
+            diag[-1] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+            a = UpperBidiagonalJacobian(diag, sup)
             b = rng.standard_normal(n)
-            x_struct = structured_solve(a, b)
-            x_dense = lu_solve(a.to_dense(), b)
+            x_struct = a.solve(b)
+            x_dense = DenseJacobian(a.to_dense()).solve(b)
             err = np.linalg.norm(x_struct - x_dense) / max(np.linalg.norm(x_dense), 1.0)
             assert err <= 1e-12
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(3)
-        a = UpperTriangularPlusJacobian(rng.standard_normal(8), rng.standard_normal(7), 1.7)
+        a = UpperBidiagonalJacobian(rng.standard_normal(8), rng.standard_normal(7))
         v = rng.standard_normal(8)
         np.testing.assert_allclose(a.matvec(v), a.to_dense() @ v, atol=1e-14)
 
-    def test_max_abs_uses_corner_not_last_diag(self):
-        a = UpperTriangularPlusJacobian(np.array([1.0, 9.0]), np.array([2.0]), 0.5)
-        assert a.max_abs() == 2.0
-        assert a.to_dense()[-1, -1] == 0.5
+
+def _random_band(rng, n):
+    diag = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    sup = rng.uniform(-1.0, 1.0, n - 1)
+    return diag, sup
+
+
+class TestBandedAgainstDense:
+    """UpperBidiagonalJacobian against DenseJacobian(J.to_dense()).
+
+    Finite instances are diagonally dominant, so neither solve pivots and
+    the two agree to rounding.  Non-finite instances check matvec and max_abs
+    only: an inf entry makes the dense pivot threshold eps * max|A| infinite,
+    so the dense solve raises where back substitution does not, and how a NaN
+    travels through LU depends on the LAPACK build.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 57])
+    def test_finite_instances(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            banded = UpperBidiagonalJacobian(*_random_band(rng, n))
+            dense = DenseJacobian(banded.to_dense())
+            v = rng.standard_normal(n)
+            np.testing.assert_allclose(banded.matvec(v), dense.matvec(v), rtol=1e-12, atol=1e-12)
+            assert _rel_err(banded.solve(v), dense.solve(v)) <= 1e-12
+            assert banded.max_abs() == dense.max_abs()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, 2, 57])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries(self, n, bad):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(20):
+            diag, sup = _random_band(rng, n)
+            # a non-empty subset of: the last diagonal entry, any diagonal
+            # entry, any superdiagonal entry
+            slots = [(diag, n - 1), (diag, int(rng.integers(n)))]
+            if n > 1:
+                slots.append((sup, int(rng.integers(n - 1))))
+            for j in rng.permutation(len(slots))[: rng.integers(1, len(slots) + 1)]:
+                arr, i = slots[j]
+                arr[i] = bad
+            banded = UpperBidiagonalJacobian(diag, sup)
+            dense = DenseJacobian(banded.to_dense())
+            v = rng.standard_normal(n)
+            # assert_allclose requires NaN and inf in the same places
+            np.testing.assert_allclose(banded.matvec(v), dense.matvec(v), rtol=1e-12, atol=1e-12)
+            np.testing.assert_equal(banded.max_abs(), dense.max_abs())
+
+    def test_nan_entry_gives_nan_max_abs(self):
+        # a NaN beside a larger finite entry must not be dropped
+        a = UpperBidiagonalJacobian(np.array([np.nan, 1.0]), np.array([2.0]))
+        assert np.isnan(a.max_abs())
+        assert np.isnan(DenseJacobian(a.to_dense()).max_abs())
 
 
 class TestStructuredSolveAgainstReference:
@@ -158,10 +207,10 @@ class TestStructuredSolveAgainstReference:
         for _ in range(20):
             diag = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
             sup = rng.uniform(-1.0, 1.0, n - 1)
-            corner = rng.uniform(1.0, 2.0) * rng.choice([-1.0, 1.0])
-            a = UpperTriangularPlusJacobian(diag, sup, corner)
+            diag[-1] = rng.uniform(1.0, 2.0) * rng.choice([-1.0, 1.0])
+            a = UpperBidiagonalJacobian(diag, sup)
             b = rng.standard_normal(n)
-            assert _rel_err(structured_solve(a, b), _reference_structured_solve(a, b)) <= 1e-12
+            assert _rel_err(a.solve(b), _reference_structured_solve(a, b)) <= 1e-12
 
     @pytest.mark.parametrize("k", [2, 3, 7])
     def test_multipoly_jacobians_along_gamma_na_run(self, k):
@@ -170,43 +219,43 @@ class TestStructuredSolveAgainstReference:
         assert out.converged
         for x in out.iterate_history:
             a, fx = p.jacobian(x), p.residual(x)
-            assert _rel_err(structured_solve(a, fx), _reference_structured_solve(a, fx)) <= 1e-12
+            assert _rel_err(a.solve(fx), _reference_structured_solve(a, fx)) <= 1e-12
 
     def test_one_by_one(self):
-        a = UpperTriangularPlusJacobian(np.array([5.0]), np.array([]), -4.0)
-        assert structured_solve(a, np.array([2.0]))[0] == -0.5
+        a = UpperBidiagonalJacobian(np.array([-4.0]), np.array([]))
+        assert a.solve(np.array([2.0]))[0] == -0.5
         assert _reference_structured_solve(a, np.array([2.0]))[0] == -0.5
 
     def test_tiny_pivot_alone_in_its_row_is_accepted(self):
-        a = UpperTriangularPlusJacobian(np.array([1.0, 1e-300, 1.0]), np.array([1.0, 0.0]), 2.0)
+        a = UpperBidiagonalJacobian(np.array([1.0, 1e-300, 2.0]), np.array([1.0, 0.0]))
         b = np.array([1.0, 1e-300, 1.0])
-        x = structured_solve(a, b)
+        x = a.solve(b)
         np.testing.assert_array_equal(x, _reference_structured_solve(a, b))
         np.testing.assert_array_equal(x, [0.0, 1.0, 0.5])
 
     def test_highest_negligible_pivot_is_named(self):
-        a = UpperTriangularPlusJacobian(
-            np.array([1.0, 0.0, 1.0, 1e-20, 1.0]), np.array([1.0, 1.0, 1.0, 1.0]), 1.0
+        a = UpperBidiagonalJacobian(
+            np.array([1.0, 0.0, 1.0, 1e-20, 1.0]), np.array([1.0, 1.0, 1.0, 1.0])
         )
         with pytest.raises(SingularMatrix) as fast:
-            structured_solve(a, np.ones(5))
+            a.solve(np.ones(5))
         with pytest.raises(SingularMatrix) as ref:
             _reference_structured_solve(a, np.ones(5))
         assert str(fast.value) == str(ref.value)
         assert "row 3" in str(fast.value)
 
     def test_nan_pivot_propagates_without_raising(self):
-        a = UpperTriangularPlusJacobian(np.array([1.0, np.nan, 1.0]), np.array([1.0, 1.0]), 1.0)
-        x = structured_solve(a, np.ones(3))
+        a = UpperBidiagonalJacobian(np.array([1.0, np.nan, 1.0]), np.array([1.0, 1.0]))
+        x = a.solve(np.ones(3))
         np.testing.assert_array_equal(x, _reference_structured_solve(a, np.ones(3)))
         assert np.isnan(x[:2]).all() and x[2] == 1.0
 
     def test_zero_pivot_behind_nan_row_entry_raises(self):
         # the row-relative test cannot see this pivot (0 <= NaN is false), so
         # the LAPACK singularity report is what catches it
-        a = UpperTriangularPlusJacobian(np.array([1.0, 0.0, 1.0]), np.array([1.0, np.nan]), 1.0)
+        a = UpperBidiagonalJacobian(np.array([1.0, 0.0, 1.0]), np.array([1.0, np.nan]))
         with pytest.raises(SingularMatrix, match="row 1 is exactly zero"):
-            structured_solve(a, np.ones(3))
+            a.solve(np.ones(3))
 
 
 class TestLstsqGamma:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nasolve.core import NonlinearProblem, SolverConfig, validate_problem
-from nasolve.linalg import DenseJacobian, UpperTriangularPlusJacobian
+from nasolve.linalg import DenseJacobian, UpperBidiagonalJacobian
 from nasolve.problems import (
     REGISTRY_NAMES,
     HEquationSpec,
@@ -153,7 +153,7 @@ class TestMultipoly:
         p = multipoly(MultipolySpec(n=5, k=3))
         np.testing.assert_array_equal(p.residual(np.zeros(5)), np.zeros(5))
         jac = p.jacobian(np.zeros(5))
-        assert jac.corner == 0.0
+        assert jac.diag[-1] == 0.0
         np.testing.assert_allclose(jac.matvec(p.null_basis[:, 0]), np.zeros(5), atol=0)
 
     def test_hand_values_at_ones(self):
@@ -161,16 +161,15 @@ class TestMultipoly:
         x = np.ones(3)
         np.testing.assert_array_equal(p.residual(x), [1.0, 1.0, 1.0])
         jac = p.jacobian(x)
-        np.testing.assert_array_equal(jac.diag, [3.0, 3.0, 3.0])
+        np.testing.assert_array_equal(jac.diag, [3.0, 3.0, 2.0])
         np.testing.assert_array_equal(jac.superdiag, [-2.0, -2.0])
-        assert jac.corner == 2.0
 
     def test_structured_form_densifies_exactly(self):
         p = multipoly(MultipolySpec(n=6, k=4))
         rng = np.random.default_rng(2)
         x = rng.uniform(0.2, 1.0, 6)
         jac = p.jacobian(x)
-        assert isinstance(jac, UpperTriangularPlusJacobian)
+        assert isinstance(jac, UpperBidiagonalJacobian)
         dense = np.diag(2.0 * x + 1.0) + np.diag(-4.0 * x[1:] ** 3, 1)
         dense[-1, -1] = 4.0 * x[-1] ** 3
         np.testing.assert_array_equal(jac.to_dense(), dense)
