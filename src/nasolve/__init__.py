@@ -20,7 +20,6 @@ from .diagnostics import (
     theta_gain,
 )
 from .linalg import (
-    DegenerateSteps,
     DenseJacobian,
     JacobianMatrix,
     SingularMatrix,
@@ -59,5 +58,7 @@ from .harness import (
     write_summary,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _Module
+
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _Module)]
 __version__ = "0.1.0"

@@ -37,9 +37,10 @@ class NonlinearProblem:
     """Square system f(x) = 0 with an analytic Jacobian.
 
     Instances are immutable after construction and safe to share across
-    concurrent solves.  ``known_root``/``null_basis``/``root_order`` are
-    optional ground truth for diagnostics; ``bounds`` is a box constraint
-    used only by the projected Levenberg-Marquardt comparator.
+    concurrent solves, which edit no process-global state (no warnings
+    filter).  ``known_root``/``null_basis``/``root_order`` are optional
+    ground truth for diagnostics; ``bounds`` is a box constraint used only
+    by the projected Levenberg-Marquardt comparator.
     """
 
     name: str

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .core import IterateError, NonlinearProblem, SolveOutcome
-from .linalg import DegenerateSteps, lstsq_gamma
+from .linalg import lstsq_gamma
 
 COMPAT_C = 2.0  # step k is compatible if ||P_N e_{k+1}|| <= COMPAT_C * theta_{k+1} * ||w_{k+1}||
 RHO_DOM = 3.0  # a term dominates another when it is larger by this factor
@@ -29,14 +29,6 @@ class MissingGroundTruth(Exception):
 
 class ZeroStep(Exception):
     """The Newton update vanished; the gain is undefined (already converged)."""
-
-
-class InsufficientTail(Exception):
-    """Too few usable entries to estimate a contraction rate."""
-
-
-class OutOfRange(Exception):
-    """Contraction ratio outside (0,1); no root order can be inferred."""
 
 
 class PairKind(str, Enum):
@@ -60,13 +52,6 @@ def theta_gain(w_next: np.ndarray, w_prev: np.ndarray, gamma_used: float) -> flo
     if nw == 0.0:
         raise ZeroStep("||w_next|| = 0")
     return float(np.linalg.norm(w_next - gamma_used * (w_next - np.asarray(w_prev)))) / nw
-
-
-def _raw_gamma(w_next: np.ndarray, w_prev: np.ndarray) -> float | None:  # None if degenerate
-    try:
-        return lstsq_gamma(w_next, w_prev)
-    except DegenerateSteps:
-        return None
 
 
 _PAIR_KINDS = {("N", "N"): PairKind.N_pair, ("R", "R"): PairKind.R_pair,
@@ -103,31 +88,28 @@ def _pair_label(c_k, d_k, c_km1, d_km1, gamma: float | None) -> PairLabel:
     return PairLabel(kind=kind, strong=strong)
 
 
-def estimate_rate(norms) -> float:
+def estimate_rate(norms) -> float | None:
     """Geometric-mean contraction ratio of an ordered tail of norms.
 
-    Leading/trailing non-positive entries are trimmed; at least four usable
-    entries are required.  The geometric mean of successive ratios
-    telescopes to (last/first)^(1/(m-1)).
+    Leading/trailing non-positive entries are trimmed; None when fewer than
+    four usable entries remain or one inside the tail is non-positive.  The
+    geometric mean of successive ratios telescopes to (last/first)^(1/(m-1)).
     """
     vals = [float(v) for v in norms]
     while vals and not (np.isfinite(vals[0]) and vals[0] > 0.0):
         vals.pop(0)
     while vals and not (np.isfinite(vals[-1]) and vals[-1] > 0.0):
         vals.pop()
-    if any(not (np.isfinite(v) and v > 0.0) for v in vals):
-        raise InsufficientTail("non-positive entry inside the tail")
-    if len(vals) < 4:
-        raise InsufficientTail(f"need >= 4 usable entries, got {len(vals)}")
+    if len(vals) < 4 or any(not (np.isfinite(v) and v > 0.0) for v in vals):
+        return None
     m = len(vals)
     return float((vals[-1] / vals[0]) ** (1.0 / (m - 1)))
 
 
-def estimate_root_order(rho: float) -> float:
-    """Invert the null-component Newton contraction rho = d/(d+1)."""
-    if not 0.0 < rho < 1.0:
-        raise OutOfRange(f"need rho in (0,1), got {rho}")
-    return rho / (1.0 - rho)
+def estimate_root_order(rho: float) -> float | None:
+    """Invert the null-component Newton contraction rho = d/(d+1); None for
+    rho outside (0, 1), where no root order fits."""
+    return rho / (1.0 - rho) if 0.0 < rho < 1.0 else None
 
 
 @dataclass
@@ -179,12 +161,8 @@ def diagnose_run(p: NonlinearProblem, outcome: SolveOutcome) -> DiagnosticsRepor
 
     scale = NOISE_FLOOR * (1.0 + float(np.linalg.norm(p.known_root)))
     tail = [v for v in pn if v > scale]
-    rate = order = None
-    try:
-        rate = estimate_rate(tail[-12:])
-        order = estimate_root_order(rate)
-    except (InsufficientTail, OutOfRange):
-        pass
+    rate = estimate_rate(tail[-12:])
+    order = None if rate is None else estimate_root_order(rate)
     return DiagnosticsReport(steps=steps, rate=rate, root_order=order)
 
 
@@ -200,7 +178,7 @@ def error_recorder(p: NonlinearProblem, x0: np.ndarray):
         # e -= P_N e = B c; np.dot: for a one-column basis ``basis @ c`` takes
         # about six times as long at n = 10^5, same bits
         e -= np.dot(basis, c)
-        gamma = None if w is None or last[0] is None else _raw_gamma(w, last[0])
+        gamma = None if w is None or last[0] is None else lstsq_gamma(w, last[0])
         d = None if w is None else basis.T @ w
         errors.append(IterateError(c, float(np.linalg.norm(e)), d, gamma))
         last[0] = w

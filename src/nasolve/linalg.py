@@ -8,10 +8,7 @@ common ``matvec``/``solve`` interface.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 EPS = float(np.finfo(float).eps)
@@ -19,10 +16,6 @@ EPS = float(np.finfo(float).eps)
 
 class SingularMatrix(Exception):
     """A pivot collapsed below machine precision; the matrix is numerically singular."""
-
-
-class DegenerateSteps(Exception):
-    """Two consecutive update steps coincide; the extrapolation coefficient is undefined."""
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -61,23 +54,25 @@ class DenseJacobian(JacobianMatrix):
         return self.a @ v
 
     def solve(self, b):
-        """Solve A x = b by LU with partial pivoting.
+        """Solve A x = b by LU with partial pivoting (LAPACK ``dgetrf``/``dgetrs``).
 
         Raises SingularMatrix when a pivot magnitude falls to or below
         eps * max|A|, which is how the solvers detect that an iterate has left
-        the region where the Jacobian is invertible.
+        the region where the Jacobian is invertible.  It also catches the
+        exactly zero pivot ``dgetrf`` reports (info > 0) unless a NaN hides it.
         """
         b = np.asarray(b, dtype=float)
-        with warnings.catch_warnings():
-            # the pivot check below supersedes LAPACK's exact-zero warning
-            warnings.simplefilter("ignore")
-            lu, piv = scipy.linalg.lu_factor(self.a, check_finite=False)
+        if self.n == 0:  # dgetrf would reject lda = 0, its only info < 0 here
+            return np.empty_like(b)
+        lu, piv, _ = scipy.linalg.lapack.dgetrf(self.a)
         pivots = np.abs(np.diag(lu))
-        if pivots.size:
-            threshold = EPS * _max_abs(self.a)  # a NaN entry gives NaN, so no raise
-            if pivots.min() <= threshold:
-                raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
-        return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+        threshold = EPS * _max_abs(self.a)  # a NaN entry gives NaN, so no raise
+        if pivots.min() <= threshold:
+            raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
+        x, info = scipy.linalg.lapack.dgetrs(lu, piv, b)
+        if info < 0:
+            raise ValueError(f"dgetrs rejected argument {-info}")
+        return x
 
     def to_dense(self):
         return self.a
@@ -145,17 +140,17 @@ class UpperBidiagonalJacobian(JacobianMatrix):
         return float(np.maximum(_max_abs(self.diag), _max_abs(self.superdiag)))
 
 
-def lstsq_gamma(w_next: np.ndarray, w_prev: np.ndarray) -> float:
+def lstsq_gamma(w_next: np.ndarray, w_prev: np.ndarray) -> float | None:
     """Extrapolation coefficient minimizing || w_next - g*(w_next - w_prev) || over g.
 
     Closed form: g = (w_next - w_prev)^T w_next / ||w_next - w_prev||^2.
-    Raises DegenerateSteps when the two steps coincide to machine precision,
-    in which case the caller should fall back to a plain Newton step.
+    Returns None when the two steps coincide to machine precision, so that g
+    is undefined; the caller then takes a plain Newton step.
     """
     w_next = np.asarray(w_next, dtype=float)
     w_prev = np.asarray(w_prev, dtype=float)
     d = w_next - w_prev
     dn = np.linalg.norm(d)
     if dn <= EPS * (np.linalg.norm(w_next) + np.linalg.norm(w_prev)):
-        raise DegenerateSteps(f"||w_next - w_prev|| = {dn:.3e} is negligible")
+        return None
     return float(d @ w_next) / float(dn * dn)

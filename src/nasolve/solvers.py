@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig
 from .diagnostics import error_recorder, theta_gain
-from .linalg import DegenerateSteps, SingularMatrix, lstsq_gamma
+from .linalg import SingularMatrix, lstsq_gamma
 
 
 class MethodId(str, Enum):
@@ -202,20 +202,18 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, anderson, safe
 
         gamma_raw, lam, gamma_used, theta, kind = 0.0, 1.0, 0.0, 1.0, "newton"
         if anderson and k > 0:
-            try:
-                gamma_raw = lstsq_gamma(w, w_prev)
-            except DegenerateSteps:
+            gamma_raw = lstsq_gamma(w, w_prev)
+            if gamma_raw is None:
                 gamma_raw = 0.0  # stagnated direction: plain Newton step
-            else:
-                if safeguard:
-                    dec = gamma_safeguard(gamma_raw, w_norm, w_prev_norm, cfg.r)
-                    if not dec.took_newton_step:
-                        lam = dec.lam
-                        gamma_used = lam * gamma_raw
-                        kind = "anderson"
-                else:
-                    gamma_used = gamma_raw
+            elif safeguard:
+                dec = gamma_safeguard(gamma_raw, w_norm, w_prev_norm, cfg.r)
+                if not dec.took_newton_step:
+                    lam = dec.lam
+                    gamma_used = lam * gamma_raw
                     kind = "anderson"
+            else:
+                gamma_used = gamma_raw
+                kind = "anderson"
 
         if kind == "anderson":
             x_new = anderson_combine(x, x_prev, w, w_prev, gamma_used)
@@ -281,14 +279,16 @@ def _projected_lm_step(p: NonlinearProblem, project):
         # Cholesky and bump the damping if conditioning defeats it numerically
         d = None
         for mu in (max(MU_SCALE * res * res, MU_FLOOR), res * res, 1.0):
-            a = normal.copy()
+            a = normal.copy(order="F")  # Fortran order: dpotrf factors it in place
             a.flat[:: p.dim + 1] += mu
-            try:
-                c, low = scipy.linalg.cho_factor(a, check_finite=False)
-                d = scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
+            c, info = scipy.linalg.lapack.dpotrf(a, clean=0, overwrite_a=1)
+            if info < 0:
+                raise ValueError(f"dpotrf rejected argument {-info}")
+            if info == 0:  # info > 0: a leading minor is not positive definite
+                d, info = scipy.linalg.lapack.dpotrs(c, rhs)
+                if info < 0:
+                    raise ValueError(f"dpotrs rejected argument {-info}")
                 break
-            except np.linalg.LinAlgError:
-                continue
 
         ls_evals = 0
         kind = "projected_gradient"

@@ -1,6 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
+import nasolve
 from nasolve.core import NonlinearProblem, SolverConfig, validate_problem
 from nasolve.linalg import DenseJacobian
 from nasolve.problems import MultipolySpec, multipoly
@@ -154,3 +157,13 @@ def test_converged_iff_final_res_below_tol():
     assert not out.converged and out.final_res >= cfg.tol and out.iterations <= 3
     out = newton_solve(_square_problem(), SolverConfig())
     assert out.converged and out.final_res < 1e-8
+
+
+def test_public_names_resolve_and_none_is_a_module():
+    namespace = {}
+    exec("from nasolve import *", namespace)
+    for name in nasolve.__all__:
+        assert not isinstance(getattr(nasolve, name), types.ModuleType), name
+        assert namespace[name] is getattr(nasolve, name)
+    assert not {"DegenerateSteps", "InsufficientTail", "OutOfRange"} & set(nasolve.__all__)
+    assert {"SingularMatrix", "ProblemUnavailable", "solve"} <= set(nasolve.__all__)

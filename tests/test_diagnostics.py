@@ -5,9 +5,7 @@ import pytest
 
 from nasolve.core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig
 from nasolve.diagnostics import (
-    InsufficientTail,
     MissingGroundTruth,
-    OutOfRange,
     PairKind,
     ZeroStep,
     diagnose_run,
@@ -16,7 +14,7 @@ from nasolve.diagnostics import (
     estimate_root_order,
     theta_gain,
 )
-from nasolve.linalg import DegenerateSteps, DenseJacobian, SingularMatrix, lstsq_gamma
+from nasolve.linalg import DenseJacobian, SingularMatrix, lstsq_gamma
 from nasolve.problems import (
     HEquationSpec,
     MultipolySpec,
@@ -252,12 +250,10 @@ class TestRateEstimation:
         assert estimate_rate([2.0 ** -k for k in range(10)]) == pytest.approx(0.5)
 
     def test_zeros_rejected(self):
-        with pytest.raises(InsufficientTail):
-            estimate_rate([0.0, 0.0, 0.0, 0.0, 0.0])
+        assert estimate_rate([0.0, 0.0, 0.0, 0.0, 0.0]) is None
 
     def test_too_short_rejected(self):
-        with pytest.raises(InsufficientTail):
-            estimate_rate([1.0, 0.5, 0.25])
+        assert estimate_rate([1.0, 0.5, 0.25]) is None
 
     def test_newton_multipoly_rate_recovery(self):
         # the null component contracts by d/(d+1) per step
@@ -273,8 +269,7 @@ class TestRateEstimation:
 
     def test_root_order_out_of_range(self):
         for rho in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(OutOfRange):
-                estimate_root_order(rho)
+            assert estimate_root_order(rho) is None
 
     def test_high_order_recovery(self):
         p = multipoly(MultipolySpec(n=100, k=7))
@@ -301,6 +296,17 @@ class TestDiagnoseRun:
         without = newton_anderson_solve(p, cfg, safeguard=True)
         assert without.iterate_history is None
         assert diagnose_run(p, without) == diagnose_run(p, with_history)
+
+    def test_rate_kept_when_root_order_undefined(self):
+        # the iterates leave the point given as the root, so the null error
+        # grows and rho > 1: no root order, but the rate is still reported
+        p = NonlinearProblem(
+            name="away", dim=1, residual=lambda x: x * x,
+            jacobian=lambda x: DenseJacobian(np.array([[2.0 * x[0]]])),
+            start=np.array([1.0]), known_root=np.array([1.0]), null_basis=np.eye(1),
+        )
+        report = diagnose_run(p, newton_solve(p, SolverConfig()))
+        assert report.rate > 1.0 and report.root_order is None
 
     def test_outcome_without_ground_truth_raises(self):
         p = multipoly(MultipolySpec(n=20, k=2))
@@ -377,9 +383,8 @@ def _reference_classify_pair(split_k, split_km1, w_next, w_k, p, rho_dom):
     }.get((labels[0], labels[1]), PairKind.undominated)
     if composed is PairKind.undominated:
         return composed, False
-    try:
-        gamma = lstsq_gamma(w_next, w_k)
-    except DegenerateSteps:
+    gamma = lstsq_gamma(w_next, w_k)
+    if gamma is None:
         return composed, False
     (e_k, pn_k, _, _), (e_km1, pn_km1, _, _) = split_k, split_km1
     t1 = (1.0 - gamma) * 0.5 * pn_k
@@ -423,12 +428,8 @@ def _reference_diagnose_run(p, outcome, C=2.0, rho_dom=3.0, noise_floor=1e-13):
     scale = noise_floor * (1.0 + float(np.linalg.norm(p.known_root)))
     tail = [float(np.linalg.norm(s[1])) for s in splits]
     tail = [v for v in tail if v > scale]
-    rate = order = None
-    try:
-        rate = estimate_rate(tail[-12:])
-        order = estimate_root_order(rate)
-    except (InsufficientTail, OutOfRange):
-        pass
+    rate = estimate_rate(tail[-12:])
+    order = None if rate is None else estimate_root_order(rate)
     return steps, (rate, order)
 
 

@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nasolve.core import SolverConfig
 from nasolve.linalg import (
     EPS,
-    DegenerateSteps,
     DenseJacobian,
     SingularMatrix,
     UpperBidiagonalJacobian,
@@ -32,6 +34,20 @@ def _reference_structured_solve(a, b):
             )
         x[i] = (b[i] - s[i] * x[i + 1]) / d[i]
     return x
+
+
+def _reference_dense_solve(a, b):
+    """The pivot-tested LU through scipy's ``lu_factor``/``lu_solve`` wrappers,
+    the reference for the direct LAPACK calls."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    pivots = np.abs(np.diag(lu))
+    if pivots.size:
+        threshold = EPS * float(max(a.max(), -a.min()))
+        if pivots.min() <= threshold:
+            raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
+    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
 def _rel_err(x, ref):
@@ -68,6 +84,44 @@ class TestLuSolve:
             b = rng.standard_normal(50)
             x = DenseJacobian(a).solve(b)
             assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-10
+
+
+class TestDenseSolveAgainstScipyWrappers:
+    """DenseJacobian.solve calls dgetrf/dgetrs, the routines lu_factor and
+    lu_solve call, so it must agree with them bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 57, 300])
+    def test_random_bit_identical(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(5):
+            a = rng.standard_normal((n, n))
+            b = rng.standard_normal(n)
+            np.testing.assert_array_equal(DenseJacobian(a).solve(b), _reference_dense_solve(a, b))
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, 2.0], [2.0, 4.0]]),  # exactly zero pivot: dgetrf info > 0
+        np.random.default_rng(5).standard_normal((6, 3))
+        @ np.random.default_rng(6).standard_normal((3, 6)),  # rank 3, rounded pivot
+    ])
+    def test_singular_raises_the_reference_message(self, a):
+        b = np.ones(len(a))
+        with pytest.raises(SingularMatrix) as fast:
+            DenseJacobian(a).solve(b)
+        with pytest.raises(SingularMatrix) as ref:
+            _reference_dense_solve(a, b)
+        assert str(fast.value) == str(ref.value)
+
+    def test_nan_entry_propagates_without_raising(self):
+        a = np.random.default_rng(9).standard_normal((4, 4))
+        a[1, 2] = np.nan
+        x = DenseJacobian(a).solve(np.ones(4))
+        np.testing.assert_array_equal(x, _reference_dense_solve(a, np.ones(4)))
+        assert np.isnan(x).any()
+
+    def test_empty_system(self):
+        x = DenseJacobian(np.empty((0, 0))).solve(np.empty(0))
+        assert x.shape == (0,) and x.dtype == float
+        np.testing.assert_array_equal(x, _reference_dense_solve(np.empty((0, 0)), np.empty(0)))
 
 
 class TestDenseMaxAbs:
@@ -265,10 +319,9 @@ class TestLstsqGamma:
     def test_colinear_pair(self):
         assert lstsq_gamma(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(2.0)
 
-    def test_degenerate_raises(self):
+    def test_degenerate_returns_none(self):
         w = np.array([1.0, 2.0])
-        with pytest.raises(DegenerateSteps):
-            lstsq_gamma(w, w.copy())
+        assert lstsq_gamma(w, w.copy()) is None
 
     def test_grid_oracle_20dim(self):
         # brute-force 1-D scan of the objective at 1e-5 spacing

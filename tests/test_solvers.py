@@ -419,21 +419,55 @@ class TestProjectedLm:
                          ladder=(max(MU_SCALE * res * res, MU_FLOOR), res * res, 1.0))
             return jac
 
-        cho_factor = scipy.linalg.cho_factor
+        dpotrf = scipy.linalg.lapack.dpotrf
 
-        def cho_factor_eye(a, **kwargs):
+        def dpotrf_eye(a, **kwargs):
             mu = state["ladder"][state["attempt"]]
             state["attempt"] += 1
             eye_form = state["normal"] + mu * np.eye(p.dim)
             assert np.array_equal(a, eye_form)
-            return cho_factor(eye_form, **kwargs)
+            return dpotrf(eye_form, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", cho_factor_eye)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", dpotrf_eye)
         ref = projected_lm_solve(replace(p, jacobian=jacobian), SolverConfig())
         assert ref.iterations == fast.iterations > 0
         assert repr(fast.trace) == repr(ref.trace)
         assert fast.final_res == ref.final_res
         np.testing.assert_array_equal(fast.x, ref.x)
+
+
+class TestCholeskyAgainstScipyWrappers:
+    """The LM step factors a Fortran-order copy in place with
+    dpotrf(clean=0, overwrite_a=1) and solves with dpotrs, the routines
+    cho_factor and cho_solve call, so they must agree bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 57, 300])
+    def test_spd_bit_identical(self, n):
+        rng = np.random.default_rng(400 + n)
+        for _ in range(5):
+            jac = rng.standard_normal((n, n))
+            normal = jac.T @ jac
+            rhs = rng.standard_normal(n)
+            a = normal.copy(order="F")
+            a.flat[:: n + 1] += 1e-3
+            c, info = scipy.linalg.lapack.dpotrf(a, clean=0, overwrite_a=1)
+            assert info == 0 and np.shares_memory(c, a)
+            d, info = scipy.linalg.lapack.dpotrs(c, rhs)
+            assert info == 0
+            ref = normal.copy()
+            ref.flat[:: n + 1] += 1e-3
+            c_ref, lower = scipy.linalg.cho_factor(ref, check_finite=False)
+            np.testing.assert_array_equal(c, c_ref)
+            np.testing.assert_array_equal(
+                d, scipy.linalg.cho_solve((c_ref, lower), rhs, check_finite=False)
+            )
+
+    def test_not_positive_definite_gives_positive_info(self):
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        _, info = scipy.linalg.lapack.dpotrf(a.copy(order="F"), clean=0, overwrite_a=1)
+        assert info > 0
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cho_factor(a, check_finite=False)
 
 
 class TestTermination:
