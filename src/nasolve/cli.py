@@ -71,20 +71,13 @@ def main(argv=None) -> int:
         if args.problem == "registry":
             reports = run_registry(methods, cfg)
             write_summary(reports, f"{args.out}/registry_summary.{args.format}", args.format)
-            for report in reports:
-                if any(not row.skipped for row in report.rows):
-                    emit_report(report, args.format, args.out)
         else:
-            spec = ExperimentSpec(
-                problem=args.problem,
-                methods=methods,
-                n=args.n,
-                omega=args.omega,
-                k=args.k,
-                config=cfg,
-            )
+            spec = ExperimentSpec(args.problem, methods, n=args.n, omega=args.omega, k=args.k,
+                                  config=cfg)
             reports = [run_experiment(spec)]
-            emit_report(reports[0], args.format, args.out)
+        for report in reports:
+            if any(not row.skipped for row in report.rows):
+                emit_report(report, args.format, args.out)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -93,9 +86,7 @@ def main(argv=None) -> int:
         return 1
 
     sys.stdout.write(compare_table(reports))
-    skipped = [
-        report.problem for report in reports if all(row.skipped for row in report.rows)
-    ]
+    skipped = [report.problem for report in reports if all(row.skipped for row in report.rows)]
     if skipped:
         print(f"skipped (not transcribed): {', '.join(skipped)}")
     return 0

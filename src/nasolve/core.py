@@ -38,19 +38,17 @@ class NonlinearProblem:
 
     Instances are immutable after construction and safe to share across
     concurrent solves, which edit no process-global state (no warnings
-    filter).  ``known_root``/``null_basis``/``root_order`` are optional
-    ground truth for diagnostics; ``bounds`` is a box constraint used only
-    by the projected Levenberg-Marquardt comparator.
+    filter).  ``known_root``/``null_basis`` are optional ground truth for
+    diagnostics; ``bounds`` is a box constraint used only by the projected
+    Levenberg-Marquardt comparator.  ``dim`` is ``len(start)``.
     """
 
     name: str
-    dim: int
     residual: ResidualFn
     jacobian: JacobianFn
     start: np.ndarray
     known_root: np.ndarray | None = None
     null_basis: np.ndarray | None = None  # (dim, m) with orthonormal columns
-    root_order: int | None = None
     bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
@@ -58,10 +56,7 @@ class NonlinearProblem:
         if self.known_root is not None:
             object.__setattr__(self, "known_root", np.asarray(self.known_root, dtype=float))
         if self.null_basis is not None:
-            basis = np.asarray(self.null_basis, dtype=float)
-            if basis.ndim == 1:
-                basis = basis[:, None]
-            object.__setattr__(self, "null_basis", basis)
+            object.__setattr__(self, "null_basis", np.asarray(self.null_basis, dtype=float))
         if self.bounds is not None:
             lo, hi = self.bounds
             object.__setattr__(
@@ -69,6 +64,10 @@ class NonlinearProblem:
                 "bounds",
                 (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)),
             )
+
+    @property
+    def dim(self) -> int:
+        return len(self.start)
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,9 @@ class IterationRecord:
 
     ``res_norm`` is ||f(x_k)||, ``step_norm`` is ||w_{k+1}||, and the gamma /
     lambda / theta fields describe the extrapolation applied at this step
-    (gamma_used = lam * gamma_raw; theta = 1 for plain Newton steps).
+    (gamma_used = lam * gamma_raw; theta = 1 for plain Newton steps).  A
+    safeguard Newton fallback keeps the raw gamma but records lam = 1 and
+    gamma_used = 0.
     """
 
     k: int

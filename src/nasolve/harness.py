@@ -20,7 +20,7 @@ from .problems import (
     multipoly,
     registry_entry,
 )
-from .solvers import MethodId, solve
+from .solvers import LINESEARCH_METHODS, MethodId, solve
 
 HISTORY_COLUMNS = (
     "k",
@@ -42,9 +42,9 @@ class ExperimentSpec:
 
     problem: str
     methods: tuple[MethodId, ...]
-    n: int | None = None
-    omega: float = 1.0
-    k: int = 2
+    n: int | None = None  # None: the problem spec's default size
+    omega: float = HEquationSpec.omega
+    k: int = MultipolySpec.k
     config: SolverConfig = field(default_factory=SolverConfig)
     keep_history: bool = False
 
@@ -88,10 +88,11 @@ class RunReport:
 
 
 def resolve_problem(spec: ExperimentSpec) -> NonlinearProblem:
+    size = {} if spec.n is None else {"n": spec.n}
     if spec.problem == "heq":
-        return h_equation(HEquationSpec(n=500 if spec.n is None else spec.n, omega=spec.omega))
+        return h_equation(HEquationSpec(omega=spec.omega, **size))
     if spec.problem == "multipoly":
-        return multipoly(MultipolySpec(n=10_000 if spec.n is None else spec.n, k=spec.k))
+        return multipoly(MultipolySpec(k=spec.k, **size))
     return registry_entry(spec.problem)
 
 
@@ -104,29 +105,24 @@ def _run_method(p: NonlinearProblem, method: MethodId, spec: ExperimentSpec) -> 
 
 
 def run_experiment(spec: ExperimentSpec) -> RunReport:
-    """Run every method of the spec on its problem from the same start."""
-    p = resolve_problem(spec)
+    """Run every method of the spec on its problem from the same start; an
+    untranscribed registry problem gives a report whose rows are all skipped."""
+    try:
+        p = resolve_problem(spec)
+    except ProblemUnavailable as exc:
+        rows = [MethodRow(m, None, error=str(exc), skipped=True) for m in spec.methods]
+        return RunReport(problem=spec.problem, rows=rows)
     return RunReport(problem=p.name, rows=[_run_method(p, m, spec) for m in spec.methods])
 
 
-def run_registry(
-    methods,
-    config: SolverConfig | None = None,
-    names=None,
-) -> list[RunReport]:
+def run_registry(methods, config: SolverConfig | None = None, names=None) -> list[RunReport]:
     """Run the method list over the registry entries ``names`` (all of them
-    if None); untranscribed entries come back as reports whose rows are
-    marked skipped."""
+    if None), as run_experiment does for each."""
     config = config or SolverConfig()
-    reports = []
-    for name in REGISTRY_NAMES if names is None else names:
-        try:
-            spec = ExperimentSpec(problem=name, methods=tuple(methods), config=config)
-            reports.append(run_experiment(spec))
-        except ProblemUnavailable as exc:
-            rows = [MethodRow(MethodId(m), None, error=str(exc), skipped=True) for m in methods]
-            reports.append(RunReport(problem=name, rows=rows))
-    return reports
+    return [
+        run_experiment(ExperimentSpec(problem=name, methods=tuple(methods), config=config))
+        for name in (REGISTRY_NAMES if names is None else names)
+    ]
 
 
 def _fmt_float(x: float) -> str:
@@ -146,7 +142,7 @@ def _lm_ls_pg(row: MethodRow) -> str:
             return "-"
         kinds = Counter(rec.step_kind for rec in trace)
         return f"{kinds['lm']}/{kinds['lm_linesearch']}/{kinds['projected_gradient']}"
-    if row.method in (MethodId.armijo_n_anderson, MethodId.gamma_armijo_n_anderson):
+    if row.method in LINESEARCH_METHODS:
         if not row.converged:
             return "-/-/-"
         return f"-/{sum(1 for rec in trace if rec.ls_evals > 0)}/-"

@@ -81,7 +81,6 @@ def h_equation(spec: HEquationSpec) -> NonlinearProblem:
 
     return NonlinearProblem(
         name=f"heq_n{n}_w{omega:g}",
-        dim=n,
         residual=residual,
         jacobian=jacobian,
         start=np.ones(n),
@@ -116,13 +115,11 @@ def multipoly(spec: MultipolySpec) -> NonlinearProblem:
     basis[-1, 0] = 1.0
     return NonlinearProblem(
         name=f"multipoly_k{k}_n{n}",
-        dim=n,
         residual=residual,
         jacobian=jacobian,
         start=start,
         known_root=np.zeros(n),
         null_basis=basis,
-        root_order=k - 1,
     )
 
 
@@ -168,6 +165,11 @@ def fd_jacobian_check(p: NonlinearProblem, x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _boxed(name, residual, jacobian, lo, hi) -> NonlinearProblem:
+    """A registry problem on the box [lo, hi], started at its lower corner."""
+    return NonlinearProblem(name, residual, jacobian, start=lo.copy(), bounds=(lo, hi))
+
+
 def _himmelbau() -> NonlinearProblem:
     # stationarity system of Himmelblau's function; box [-5,5]^2
     def residual(x):
@@ -192,10 +194,7 @@ def _himmelbau() -> NonlinearProblem:
 
     lo = np.array([-5.0, -5.0])
     hi = np.array([5.0, 5.0])
-    return NonlinearProblem(
-        name="Himmelbau", dim=2, residual=residual, jacobian=jacobian,
-        start=lo.copy(), bounds=(lo, hi),
-    )
+    return _boxed("Himmelbau", residual, jacobian, lo, hi)
 
 
 def _eq_combustion() -> NonlinearProblem:
@@ -256,10 +255,7 @@ def _eq_combustion() -> NonlinearProblem:
 
     lo = np.full(5, 1e-4)
     hi = np.full(5, 100.0)
-    return NonlinearProblem(
-        name="Eq-Combustion", dim=5, residual=residual, jacobian=jacobian,
-        start=lo.copy(), bounds=(lo, hi),
-    )
+    return _boxed("Eq-Combustion", residual, jacobian, lo, hi)
 
 
 def _bullard_biegler() -> NonlinearProblem:
@@ -277,10 +273,7 @@ def _bullard_biegler() -> NonlinearProblem:
 
     lo = np.array([5.49e-6, 2.196e-3])
     hi = np.array([4.553, 18.21])
-    return NonlinearProblem(
-        name="Bullard-Biegler", dim=2, residual=residual, jacobian=jacobian,
-        start=lo.copy(), bounds=(lo, hi),
-    )
+    return _boxed("Bullard-Biegler", residual, jacobian, lo, hi)
 
 
 def _ferraris_tronconi() -> NonlinearProblem:
@@ -309,10 +302,7 @@ def _ferraris_tronconi() -> NonlinearProblem:
 
     lo = np.array([0.25, 1.5])
     hi = np.array([1.0, 2.0 * np.pi])
-    return NonlinearProblem(
-        name="Ferraris-Tronconi", dim=2, residual=residual, jacobian=jacobian,
-        start=lo.copy(), bounds=(lo, hi),
-    )
+    return _boxed("Ferraris-Tronconi", residual, jacobian, lo, hi)
 
 
 def _browns_almost_linear() -> NonlinearProblem:
@@ -334,10 +324,7 @@ def _browns_almost_linear() -> NonlinearProblem:
 
     lo = np.full(n, -2.0)
     hi = np.full(n, 2.0)
-    return NonlinearProblem(
-        name="Brown's Al. Lin.", dim=n, residual=residual, jacobian=jacobian,
-        start=lo.copy(), bounds=(lo, hi),
-    )
+    return _boxed("Brown's Al. Lin.", residual, jacobian, lo, hi)
 
 
 def _robot_kinematics() -> NonlinearProblem:
@@ -379,10 +366,7 @@ def _robot_kinematics() -> NonlinearProblem:
 
     lo = np.full(8, -1.0)
     hi = np.full(8, 1.0)
-    return NonlinearProblem(
-        name="Robot Kin. Sys.", dim=8, residual=residual, jacobian=jacobian,
-        start=lo.copy(), bounds=(lo, hi),
-    )
+    return _boxed("Robot Kin. Sys.", residual, jacobian, lo, hi)
 
 
 _TRANSCRIBED = {

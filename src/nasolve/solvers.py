@@ -41,6 +41,11 @@ class MethodId(str, Enum):
         return self.value
 
 
+# the Newton-Anderson variants that gamma-safeguard, and those that line-search
+SAFEGUARD_METHODS = (MethodId.gamma_n_anderson, MethodId.gamma_armijo_n_anderson)
+LINESEARCH_METHODS = (MethodId.armijo_n_anderson, MethodId.gamma_armijo_n_anderson)
+
+
 @dataclass
 class SafeguardDecision:
     """Outcome of the gamma-safeguard: either take a plain Newton step, or
@@ -387,6 +392,6 @@ def solve(
         return newton_solve(p, cfg, keep_history)
     if method is MethodId.proj_lm:
         return projected_lm_solve(p, cfg, keep_history)
-    safeguard = method in (MethodId.gamma_n_anderson, MethodId.gamma_armijo_n_anderson)
-    linesearch = method in (MethodId.armijo_n_anderson, MethodId.gamma_armijo_n_anderson)
+    safeguard = method in SAFEGUARD_METHODS
+    linesearch = method in LINESEARCH_METHODS
     return newton_anderson_solve(p, cfg, safeguard, linesearch, keep_history)

@@ -56,7 +56,7 @@ def _report(criterion: str, detail: str):
 
 def _square_problem():
     return NonlinearProblem(
-        name="square", dim=1,
+        name="square",
         residual=lambda x: np.array([x[0] ** 2]),
         jacobian=lambda x: DenseJacobian(np.array([[2.0 * x[0]]])),
         start=np.array([1.0]),

@@ -20,7 +20,6 @@ def test_multipoly_with_ground_truth_validates_clean():
 def test_residual_at_root_violation_is_reported():
     p = NonlinearProblem(
         name="bad_root",
-        dim=1,
         residual=lambda x: np.array([x[0] - 1e-3]),
         jacobian=lambda x: DenseJacobian(np.array([[1.0]])),
         start=np.array([1.0]),
@@ -34,7 +33,6 @@ def test_residual_at_root_violation_is_reported():
 def test_bounds_violation_is_reported():
     p = NonlinearProblem(
         name="bad_start",
-        dim=1,
         residual=lambda x: x,
         jacobian=lambda x: DenseJacobian(np.array([[1.0]])),
         start=np.array([2.0]),
@@ -48,7 +46,7 @@ def test_bounds_violation_is_reported():
 def test_non_orthonormal_basis_is_reported():
     p = multipoly(MultipolySpec(n=3, k=2))
     tweaked = NonlinearProblem(
-        name=p.name, dim=p.dim, residual=p.residual, jacobian=p.jacobian,
+        name=p.name, residual=p.residual, jacobian=p.jacobian,
         start=p.start, known_root=p.known_root,
         null_basis=2.0 * p.null_basis,
     )
@@ -60,7 +58,6 @@ def _two_dim_problem(residual=None, jacobian=None, null_basis=None):
     # root 0 and null direction e_2
     return NonlinearProblem(
         name="nan_case",
-        dim=2,
         residual=residual or (lambda x: np.array([x[0], 0.0])),
         jacobian=jacobian or (lambda x: DenseJacobian(np.array([[1.0, 0.0], [0.0, 0.0]]))),
         start=np.ones(2),
@@ -122,7 +119,6 @@ class TestSolverConfig:
 def _square_problem():
     return NonlinearProblem(
         name="square",
-        dim=1,
         residual=lambda x: np.array([x[0] ** 2]),
         jacobian=lambda x: DenseJacobian(np.array([[2.0 * x[0]]])),
         start=np.array([1.0]),

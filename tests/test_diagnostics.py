@@ -31,7 +31,6 @@ def toy_problem(n=4):
     basis[-1, 0] = 1.0
     return NonlinearProblem(
         name="toy",
-        dim=n,
         residual=lambda x: x.copy(),
         jacobian=lambda x: DenseJacobian(np.eye(n)),
         start=np.ones(n),
@@ -82,7 +81,7 @@ class TestSplitError:
         n, m = 10, 3
         q, _ = np.linalg.qr(rng.standard_normal((n, m)))
         p = NonlinearProblem(
-            name="toy", dim=n, residual=lambda x: x.copy(),
+            name="toy", residual=lambda x: x.copy(),
             jacobian=lambda x: DenseJacobian(np.eye(n)),
             start=np.ones(n), known_root=np.zeros(n), null_basis=q,
         )
@@ -98,7 +97,7 @@ class TestSplitError:
 
     def test_missing_truth_raises(self):
         p = NonlinearProblem(
-            name="nt", dim=2, residual=lambda x: x.copy(),
+            name="nt", residual=lambda x: x.copy(),
             jacobian=lambda x: DenseJacobian(np.eye(2)), start=np.ones(2),
         )
         with pytest.raises(MissingGroundTruth):
@@ -301,7 +300,7 @@ class TestDiagnoseRun:
         # the iterates leave the point given as the root, so the null error
         # grows and rho > 1: no root order, but the rate is still reported
         p = NonlinearProblem(
-            name="away", dim=1, residual=lambda x: x * x,
+            name="away", residual=lambda x: x * x,
             jacobian=lambda x: DenseJacobian(np.array([[2.0 * x[0]]])),
             start=np.array([1.0]), known_root=np.array([1.0]), null_basis=np.eye(1),
         )
@@ -503,7 +502,7 @@ class TestAgainstReference:
 
         y0 = np.array([0.9, -0.7, 0.5, 0.8, -0.6, 0.05, -0.08, 0.1])
         p = NonlinearProblem(
-            name="null3", dim=n, residual=residual, jacobian=jacobian,
+            name="null3", residual=residual, jacobian=jacobian,
             start=root + q @ y0, known_root=root, null_basis=q[:, n - m:],
         )
         for method in NA_METHODS:

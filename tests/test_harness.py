@@ -16,6 +16,7 @@ from nasolve.harness import (
     summary_records,
     write_summary,
 )
+from nasolve.problems import HEquationSpec, MultipolySpec, h_equation, multipoly
 from nasolve.solvers import MethodId
 from nasolve import cli, harness
 
@@ -66,7 +67,7 @@ class TestRunExperiment:
             return _inner(x)
 
         counted = NonlinearProblem(
-            name=base.name, dim=base.dim, residual=counting, jacobian=base.jacobian,
+            name=base.name, residual=counting, jacobian=base.jacobian,
             start=base.start, bounds=base.bounds,
         )
         out = solve(counted, MethodId.gamma_armijo_n_anderson, spec.config)
@@ -91,7 +92,7 @@ class TestRunExperiment:
             return np.ones(2)
 
         p = NonlinearProblem(
-            name="flat", dim=2, residual=constant,
+            name="flat", residual=constant,
             jacobian=lambda x: DenseJacobian(np.full((2, 2), 1e10)), start=np.zeros(2),
         )
         out = solve(p, MethodId.proj_lm, SolverConfig(max_iters=3))
@@ -103,6 +104,22 @@ class TestRunExperiment:
                               config=SolverConfig(max_iters=2))
         report = run_experiment(spec)
         assert not report.rows[0].converged
+
+
+    def test_untranscribed_problem_gives_skipped_rows(self):
+        methods = (MethodId.newton, MethodId.proj_lm)
+        report = run_experiment(ExperimentSpec(problem="Dayton10", methods=methods))
+        assert report.problem == "Dayton10"
+        assert [row.method for row in report.rows] == list(methods)
+        assert all(row.skipped and row.outcome is None for row in report.rows)
+        assert "not transcribed" in report.rows[0].error
+
+    def test_defaults_are_the_problem_spec_defaults(self):
+        for problem, build, spec in (
+            ("heq", h_equation, HEquationSpec()), ("multipoly", multipoly, MultipolySpec()),
+        ):
+            p = harness.resolve_problem(ExperimentSpec(problem=problem, methods=tuple(MethodId)))
+            assert p.name == build(spec).name  # the names carry n and omega or k
 
 
 class TestRunRegistry:
@@ -294,6 +311,15 @@ class TestCli:
         cfg, spec = SolverConfig(), ExperimentSpec(problem="heq", methods=tuple(MethodId))
         assert (args.r, args.tol, args.max_iters) == (cfg.r, cfg.tol, cfg.max_iters)
         assert (args.omega, args.k, args.n) == (spec.omega, spec.k, spec.n)
+
+    def test_single_untranscribed_problem_reports_skipped(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        rc = cli.main(["--problem", "Decker1", "--out", str(out_dir)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.count("skipped") == len(MethodId) + 1
+        assert out.rstrip().endswith("skipped (not transcribed): Decker1")
+        assert not out_dir.exists()
 
     def test_unknown_problem_is_error_exit(self, tmp_path, capsys):
         rc = cli.main(["--problem", "NoSuchProblem", "--out", str(tmp_path)])

@@ -182,7 +182,6 @@ class TestMultipoly:
     def test_start_and_ground_truth(self):
         p = multipoly(MultipolySpec(n=10, k=5))
         assert p.start[-1] == 0.9 and np.all(p.start[:-1] == 0.3)
-        assert p.root_order == 4
         assert validate_problem(p) == []
 
     def test_invalid_spec_rejected(self):
@@ -200,7 +199,7 @@ class TestFdJacobianCheck:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6))
         p = NonlinearProblem(
-            name="lin", dim=6, residual=lambda x: a @ x,
+            name="lin", residual=lambda x: a @ x,
             jacobian=lambda x: DenseJacobian(a), start=np.zeros(6),
         )
         assert fd_jacobian_check(p, rng.standard_normal(6)) <= 1e-10
@@ -248,9 +247,9 @@ class TestRegistry:
 
 def test_with_ground_truth_keeps_every_other_field():
     p = NonlinearProblem(
-        name="shift", dim=2, residual=lambda x: x - 1.0,
+        name="shift", residual=lambda x: x - 1.0,
         jacobian=lambda x: DenseJacobian(np.eye(2)), start=np.zeros(2),
-        root_order=1, bounds=(np.full(2, -5.0), np.full(2, 5.0)),
+        bounds=(np.full(2, -5.0), np.full(2, 5.0)),
     )
     q = with_ground_truth(p)
     np.testing.assert_array_equal(q.known_root, np.ones(2))
@@ -260,3 +259,14 @@ def test_with_ground_truth_keeps_every_other_field():
             assert all(a is b for a, b in zip(q.bounds, p.bounds))
         elif f.name not in ("known_root", "null_basis"):
             assert getattr(q, f.name) is getattr(p, f.name), f.name
+
+
+def test_dim_is_derived_from_start():
+    assert [f.name for f in fields(NonlinearProblem)] == [
+        "name", "residual", "jacobian", "start", "known_root", "null_basis", "bounds",
+    ]
+    problems = registry() + [h_equation(HEquationSpec(n=7)), multipoly(MultipolySpec(n=9))]
+    for p in problems:
+        assert p.dim == len(p.start)
+        with pytest.raises(TypeError):
+            replace(p, dim=3)

@@ -33,7 +33,6 @@ def newton_step(p, x):
 def square_problem():
     return NonlinearProblem(
         name="square",
-        dim=1,
         residual=lambda x: np.array([x[0] ** 2]),
         jacobian=lambda x: DenseJacobian(np.array([[2.0 * x[0]]])),
         start=np.array([1.0]),
@@ -45,7 +44,6 @@ def linear_problem(a):
     n = len(a)
     return NonlinearProblem(
         name="linear",
-        dim=n,
         residual=lambda x: x - a,
         jacobian=lambda x: DenseJacobian(np.eye(n)),
         start=np.zeros(n),
@@ -90,7 +88,6 @@ class TestNewtonSolve:
     def test_singular_start_is_nonconverged_outcome(self):
         p = NonlinearProblem(
             name="flat",
-            dim=1,
             residual=lambda x: np.array([x[0] ** 2 + 1.0]),
             jacobian=lambda x: DenseJacobian(np.array([[2.0 * x[0]]])),
             start=np.array([0.0]),
@@ -308,7 +305,7 @@ class TestArmijoSearch:
 
     def test_scalar_identity_accepts_zero(self):
         p = NonlinearProblem(
-            name="id", dim=1, residual=lambda x: x.copy(),
+            name="id", residual=lambda x: x.copy(),
             jacobian=lambda x: DenseJacobian(np.array([[1.0]])),
             start=np.array([1.0]),
         )
@@ -326,7 +323,7 @@ class TestArmijoSearch:
         # ascent direction: every resolvable trial fails the decrease test;
         # an exhausted search spends all its trials and returns the best one
         p = NonlinearProblem(
-            name="abs1", dim=1, residual=lambda x: np.array([1.0 + x[0] ** 2]),
+            name="abs1", residual=lambda x: np.array([1.0 + x[0] ** 2]),
             jacobian=lambda x: DenseJacobian(np.array([[2.0 * x[0]]])),
             start=np.array([1.0]),
         )
@@ -342,7 +339,7 @@ class TestProjectedLm:
 
         a = np.ones(5)
         p = NonlinearProblem(
-            name="lin", dim=5, residual=lambda x: x - a,
+            name="lin", residual=lambda x: x - a,
             jacobian=lambda x: DenseJacobian(np.eye(5)),
             start=a + 0.1,
         )
@@ -363,7 +360,7 @@ class TestProjectedLm:
 
         a = np.ones(5)
         p = NonlinearProblem(
-            name="lin", dim=5, residual=lambda x: x - a,
+            name="lin", residual=lambda x: x - a,
             jacobian=lambda x: DenseJacobian(np.eye(5)),
             start=np.zeros(5),
         )
@@ -385,7 +382,7 @@ class TestProjectedLm:
     def test_respects_bounds(self):
         a = np.array([2.0, -2.0])
         p = NonlinearProblem(
-            name="clipped", dim=2, residual=lambda x: x - a,
+            name="clipped", residual=lambda x: x - a,
             jacobian=lambda x: DenseJacobian(np.eye(2)),
             start=np.array([0.5, -0.5]),
             bounds=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
@@ -473,7 +470,7 @@ class TestCholeskyAgainstScipyWrappers:
 class TestTermination:
     def test_nan_residual_stops_at_once_under_every_method(self):
         p = NonlinearProblem(
-            name="nan", dim=2, residual=lambda x: np.full(2, np.nan),
+            name="nan", residual=lambda x: np.full(2, np.nan),
             jacobian=lambda x: DenseJacobian(np.eye(2)), start=np.ones(2),
         )
         for method in MethodId:
@@ -488,7 +485,7 @@ class TestTermination:
                 return np.log(x)
 
         p = NonlinearProblem(
-            name="log", dim=1, residual=log_residual,
+            name="log", residual=log_residual,
             jacobian=lambda x: DenseJacobian(np.array([[1.0 / x[0]]])),
             start=np.array([3.0]),
         )
