@@ -17,7 +17,6 @@ from .harness import (
     compare_table,
     emit_report,
     run_experiment,
-    run_registry,
     write_summary,
 )
 from .problems import REGISTRY_NAMES
@@ -44,11 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[m.value for m in MethodId],
         help="repeatable; defaults to all methods",
     )
-    parser.add_argument("--n", type=int, default=None, help="problem size (heq/multipoly)")
-    parser.add_argument("--omega", type=float, default=ExperimentSpec.omega,
-                        help="H-equation parameter")
-    parser.add_argument("--k", type=int, default=ExperimentSpec.k,
-                        help="multipoly exponent (root order k-1)")
+    parser.add_argument("--n", type=int, help="problem size (heq/multipoly)")
+    parser.add_argument("--omega", type=float, help="H-equation parameter")
+    parser.add_argument("--k", type=int, help="multipoly exponent (root order k-1)")
     parser.add_argument("--r", type=float, default=SolverConfig.r,
                         help="safeguard parameter in (0,1)")
     parser.add_argument("--tol", type=float, default=SolverConfig.tol)
@@ -67,19 +64,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    names = REGISTRY_NAMES if args.problem == "registry" else (args.problem,)
+    params = {"n": args.n, "omega": args.omega, "k": args.k}
     try:
+        reports = [run_experiment(ExperimentSpec(name, methods, config=cfg, **params))
+                   for name in names]
         if args.problem == "registry":
-            reports = run_registry(methods, cfg)
             write_summary(reports, f"{args.out}/registry_summary.{args.format}", args.format)
-        else:
-            spec = ExperimentSpec(args.problem, methods, n=args.n, omega=args.omega, k=args.k,
-                                  config=cfg)
-            reports = [run_experiment(spec)]
         for report in reports:
             if any(not row.skipped for row in report.rows):
                 emit_report(report, args.format, args.out)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

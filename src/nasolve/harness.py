@@ -7,7 +7,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .core import NonlinearProblem, SolveOutcome, SolverConfig
@@ -42,9 +42,9 @@ class ExperimentSpec:
 
     problem: str
     methods: tuple[MethodId, ...]
-    n: int | None = None  # None: the problem spec's default size
-    omega: float = HEquationSpec.omega
-    k: int = MultipolySpec.k
+    n: int | None = None  # None, here and below: the problem spec's default
+    omega: float | None = None
+    k: int | None = None
     config: SolverConfig = field(default_factory=SolverConfig)
     keep_history: bool = False
 
@@ -52,6 +52,8 @@ class ExperimentSpec:
         if not self.methods:
             raise ValueError("at least one method is required")
         object.__setattr__(self, "methods", tuple(MethodId(m) for m in self.methods))
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError("each method may be given once")
 
 
 @dataclass
@@ -87,13 +89,22 @@ class RunReport:
     rows: list[MethodRow]
 
 
+_SCALEABLE = {"heq": (HEquationSpec, h_equation), "multipoly": (MultipolySpec, multipoly)}
+
+
 def resolve_problem(spec: ExperimentSpec) -> NonlinearProblem:
-    size = {} if spec.n is None else {"n": spec.n}
-    if spec.problem == "heq":
-        return h_equation(HEquationSpec(omega=spec.omega, **size))
-    if spec.problem == "multipoly":
-        return multipoly(MultipolySpec(k=spec.k, **size))
-    return registry_entry(spec.problem)
+    """Build the spec's problem from the parameters the caller set.  A problem
+    in _SCALEABLE takes the fields of its spec class, a registry problem none.
+    An unknown name raises KeyError, a parameter not taken ValueError."""
+    if spec.problem not in _SCALEABLE and spec.problem not in REGISTRY_NAMES:
+        return registry_entry(spec.problem)  # raises the unknown name's KeyError
+    spec_cls, build = _SCALEABLE.get(spec.problem, (None, None))
+    taken = [f.name for f in fields(spec_cls)] if spec_cls else []
+    params = {key: getattr(spec, key) for key in ("n", "omega", "k")
+              if getattr(spec, key) is not None}
+    if extra := [key for key in params if key not in taken]:
+        raise ValueError(f"{spec.problem} does not take {', '.join(extra)}")
+    return build(spec_cls(**params)) if spec_cls else registry_entry(spec.problem)
 
 
 def _run_method(p: NonlinearProblem, method: MethodId, spec: ExperimentSpec) -> MethodRow:

@@ -43,6 +43,17 @@ def test_bounds_violation_is_reported():
     assert "bounds" in violations[0]
 
 
+def test_empty_box_is_reported():
+    p = NonlinearProblem(
+        name="empty_box",
+        residual=lambda x: x,
+        jacobian=lambda x: DenseJacobian(np.array([[1.0]])),
+        start=np.array([0.5]),
+        bounds=(np.array([1.0]), np.array([0.0])),
+    )
+    assert any(v.startswith("empty box") for v in validate_problem(p))
+
+
 def test_non_orthonormal_basis_is_reported():
     p = multipoly(MultipolySpec(n=3, k=2))
     tweaked = NonlinearProblem(

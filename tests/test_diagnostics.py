@@ -209,6 +209,14 @@ class TestClassifyPair:
         w_k = -e_km1 + np.array([0.0, 0.0, 0.0, 2e-4])
         assert _pair(e_k, e_km1, w_next, w_k).kind is PairKind.NR_pair
 
+    def test_vanishing_terms_leave_pair_undominated(self):
+        e_k = np.array([0.01, 0.0, 0.0, 0.0])
+        e_km1 = np.array([0.02, 0.0, 0.0, 0.0])
+        # range-only errors and updates: both null-space terms are zero
+        label = _pair(e_k, e_km1, -0.5 * e_k, -0.5 * e_km1)
+        assert label.kind is PairKind.undominated
+        assert not label.strong
+
     def test_late_iterations_on_multipoly_are_n_pairs(self):
         p = multipoly(MultipolySpec(n=100, k=2))
         out = newton_anderson_solve(p, replace(SolverConfig(), r=0.7), safeguard=True)
@@ -250,6 +258,9 @@ class TestRateEstimation:
 
     def test_zeros_rejected(self):
         assert estimate_rate([0.0, 0.0, 0.0, 0.0, 0.0]) is None
+
+    def test_non_positive_ends_trimmed(self):
+        assert estimate_rate([0.0, 1.0, 0.5, 0.25, 0.125, 0.0, -1.0]) == pytest.approx(0.5)
 
     def test_too_short_rejected(self):
         assert estimate_rate([1.0, 0.5, 0.25]) is None

@@ -26,6 +26,10 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(problem="heq", methods=())
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ValueError, match="once"):
+            ExperimentSpec(problem="heq", methods=("newton", MethodId.newton))
+
     def test_method_strings_coerced(self):
         spec = ExperimentSpec(problem="heq", methods=("newton",))
         assert spec.methods == (MethodId.newton,)
@@ -121,6 +125,15 @@ class TestRunExperiment:
             p = harness.resolve_problem(ExperimentSpec(problem=problem, methods=tuple(MethodId)))
             assert p.name == build(spec).name  # the names carry n and omega or k
 
+    @pytest.mark.parametrize("problem, name, value", [
+        ("heq", "k", 3), ("multipoly", "omega", 0.5),
+        ("Himmelbau", "n", 5), ("Decker1", "n", 5),  # transcribed or not
+    ])
+    def test_parameter_not_taken_rejected(self, problem, name, value):
+        spec = ExperimentSpec(problem=problem, methods=(MethodId.newton,), **{name: value})
+        with pytest.raises(ValueError, match=f"^{problem} does not take {name}$"):
+            harness.resolve_problem(spec)
+
 
 class TestRunRegistry:
     def test_untranscribed_reported_as_skipped(self):
@@ -186,12 +199,18 @@ class TestEmitReport:
         assert recs[0]["f_evals"] == "-" and recs[0]["final_res"] == "-"
 
     def test_io_error_has_path_context(self, tmp_path):
-        target = tmp_path / "blocked"
-        target.write_text("a file, not a directory")
         spec = ExperimentSpec(problem="multipoly", methods=(MethodId.newton,), n=50, k=2)
         report = run_experiment(spec)
-        with pytest.raises((OSError, NotADirectoryError, FileExistsError)):
-            emit_report(report, "csv", target / "sub")
+        blocked = tmp_path / f"{report.problem}_summary.csv"
+        blocked.mkdir()  # a directory where the summary file goes
+        with pytest.raises(OSError) as info:
+            emit_report(report, "csv", tmp_path)
+        assert str(blocked) in str(info.value)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        spec = ExperimentSpec(problem="multipoly", methods=(MethodId.newton,), n=50, k=2)
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            emit_report(run_experiment(spec), "xml", tmp_path)
 
 
 class TestCompareTable:
@@ -306,11 +325,16 @@ class TestCli:
         assert "Dayton10" in out
         assert (tmp_path / "registry_summary.csv").exists()
 
-    def test_defaults_are_the_dataclass_defaults(self):
+    def test_defaults_are_the_dataclass_defaults(self, tmp_path, capsys):
         args = cli.build_parser().parse_args(["--problem", "heq"])
-        cfg, spec = SolverConfig(), ExperimentSpec(problem="heq", methods=tuple(MethodId))
+        cfg = SolverConfig()
         assert (args.r, args.tol, args.max_iters) == (cfg.r, cfg.tol, cfg.max_iters)
-        assert (args.omega, args.k, args.n) == (spec.omega, spec.k, spec.n)
+        # the problem names carry n and omega or k
+        for problem, name in (("heq", h_equation(HEquationSpec()).name),
+                              ("multipoly", multipoly(MultipolySpec()).name)):
+            rc = cli.main(["--problem", problem, "--method", "newton", "--out", str(tmp_path)])
+            assert rc == 0
+            assert (tmp_path / f"{name}_summary.csv").exists()
 
     def test_single_untranscribed_problem_reports_skipped(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -322,8 +346,33 @@ class TestCli:
         assert not out_dir.exists()
 
     def test_unknown_problem_is_error_exit(self, tmp_path, capsys):
-        rc = cli.main(["--problem", "NoSuchProblem", "--out", str(tmp_path)])
+        for params in ([], ["--n", "5"]):
+            rc = cli.main(["--problem", "NoSuchProblem", *params, "--out", str(tmp_path)])
+            assert rc == 2
+            assert capsys.readouterr().err == "error: unknown registry problem 'NoSuchProblem'\n"
+
+    @pytest.mark.parametrize("problem, name, value", [
+        ("registry", "n", "0"), ("Himmelbau", "n", "5"), ("Decker1", "n", "5"),
+        ("heq", "k", "3"), ("multipoly", "omega", "0.5"),
+    ])
+    def test_parameter_not_taken_is_error_exit(self, problem, name, value, tmp_path, capsys):
+        rc = cli.main(["--problem", problem, f"--{name}", value, "--out", str(tmp_path / "out")])
         assert rc == 2
+        assert capsys.readouterr().err.endswith(f" does not take {name}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_config_is_error_exit(self, tmp_path, capsys):
+        rc = cli.main(["--problem", "Himmelbau", "--r", "1.5", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "got 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_write_failure_is_exit_1(self, tmp_path, capsys):
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file, not a directory")
+        rc = cli.main(["--problem", "Himmelbau", "--method", "newton", "--out", str(blocked)])
+        assert rc == 1
+        assert str(blocked) in capsys.readouterr().err
 
     @pytest.mark.parametrize("problem, least", [("heq", 1), ("multipoly", 2)])
     def test_zero_size_is_error_exit(self, problem, least, tmp_path, capsys):
