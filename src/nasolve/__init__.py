@@ -21,6 +21,7 @@ from .diagnostics import (
 )
 from .linalg import (
     DenseJacobian,
+    IdentityMinusLowRankJacobian,
     JacobianMatrix,
     SingularMatrix,
     UpperBidiagonalJacobian,

@@ -1,14 +1,16 @@
 """Small dense/structured linear-algebra kernel used by the solvers.
 
-Two Jacobian representations are supported: dense arrays and an upper
-bidiagonal band held as two arrays (diagonal and superdiagonal).  Each class
-is the only home of its format, its solve included; solvers only rely on the
-common ``matvec``/``solve`` interface.
+Three Jacobian representations are supported: dense arrays, an upper
+bidiagonal band held as two arrays (diagonal and superdiagonal), and an
+identity minus a rank-r product held as two n x r factors.  Each class is the
+only home of its format, its solve included; solvers only rely on the common
+``matvec``/``solve`` interface.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 EPS = float(np.finfo(float).eps)
@@ -138,6 +140,51 @@ class UpperBidiagonalJacobian(JacobianMatrix):
 
     def max_abs(self):
         return float(np.maximum(_max_abs(self.diag), _max_abs(self.superdiag)))
+
+
+class IdentityMinusLowRankJacobian(JacobianMatrix):
+    """J = I - U E^T held as its two n x r factors: the H-equation's Jacobian.
+
+    ``matvec`` and ``solve`` cost O(n r) plus one r x r LU, and no n x n array
+    is formed except by ``to_dense`` and ``max_abs``.
+    """
+
+    def __init__(self, u: np.ndarray, e: np.ndarray):
+        u = np.asarray(u, dtype=float)
+        e = np.asarray(e, dtype=float)
+        if u.ndim != 2 or u.shape != e.shape:
+            raise ValueError(f"need two n x r factors of one shape, got {u.shape} and {e.shape}")
+        self.u = u
+        self.e = e
+        self.n = u.shape[0]
+
+    def matvec(self, v):
+        return v - self.u @ (self.e.T @ v)
+
+    def solve(self, b):
+        """Woodbury: x = b + U C^{-1} E^T b with the capacitance C = I_r - E^T U.
+
+        C is solved by ``DenseJacobian.solve``, whose pivot test raises
+        SingularMatrix when C, and so J (det J = det C), is numerically singular.
+        """
+        b = np.asarray(b, dtype=float)
+        # C is formed by scipy's dgemm, in the OpenBLAS that then factors it:
+        # numpy bundles a second OpenBLAS with its own thread pool, and handing
+        # the product from one pool to the other doubled the time of heq's
+        # Newton-Anderson cells at n = 2000 on 2 cores.  The transposes are
+        # Fortran-ordered views, so f2py copies neither factor.
+        cap = scipy.linalg.blas.dgemm(-1.0, self.e.T, self.u.T, beta=1.0, trans_b=1,
+                                      c=np.eye(self.u.shape[1], order="F"), overwrite_c=1)
+        return b + self.u @ DenseJacobian(cap).solve(self.e.T @ b)
+
+    def to_dense(self):
+        m = self.u @ self.e.T
+        np.negative(m, out=m)
+        m.flat[:: self.n + 1] += 1.0
+        return m
+
+    def max_abs(self):
+        return _max_abs(self.to_dense())
 
 
 def lstsq_gamma(w_next: np.ndarray, w_prev: np.ndarray) -> float | None:

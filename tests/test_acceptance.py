@@ -13,7 +13,6 @@ comparison keeps the published numbers and a +-2 band wide enough to cover
 the convention shift.
 """
 
-import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -103,14 +102,9 @@ def test_criterion_02_h_equation_newton_counts_desk_scale():
     _report("2 H-equation Newton counts", f"steps {got}, {elapsed:.2f}s")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("NASOLVE_FULL_SCALE"),
-    reason="full-scale n=10^4 H-equation needs 2.4 GB and minutes; "
-    "set NASOLVE_FULL_SCALE=1 to run",
-)
 def test_criterion_02b_h_equation_full_scale_exact():
-    """Optional full-scale run must reproduce the published counts exactly
-    (under the one-lower step convention)."""
+    """The full-scale run (n = 10^4) must reproduce the published counts
+    exactly (under the one-lower step convention)."""
     expected = {0.5: 3, 0.9: 4, 0.999: 7, 1.0: 16}
     for omega, steps in expected.items():
         out = newton_solve(h_equation(HEquationSpec(n=10_000, omega=omega)), CFG)

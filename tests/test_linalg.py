@@ -10,11 +10,12 @@ from nasolve.core import SolverConfig
 from nasolve.linalg import (
     EPS,
     DenseJacobian,
+    IdentityMinusLowRankJacobian,
     SingularMatrix,
     UpperBidiagonalJacobian,
     lstsq_gamma,
 )
-from nasolve.problems import MultipolySpec, multipoly
+from nasolve.problems import HEquationSpec, MultipolySpec, h_equation, multipoly
 from nasolve.solvers import newton_anderson_solve
 
 
@@ -245,6 +246,40 @@ class TestBandedAgainstDense:
         a = UpperBidiagonalJacobian(np.array([np.nan, 1.0]), np.array([2.0]))
         assert np.isnan(a.max_abs())
         assert np.isnan(DenseJacobian(a.to_dense()).max_abs())
+
+
+class TestLowRankAgainstDense:
+    """IdentityMinusLowRankJacobian against DenseJacobian(J.to_dense()).
+
+    The instances are H-equation Jacobians at random points, which are well
+    conditioned, so the Woodbury solve and the dense LU agree to rounding;
+    n = 1 and 7 have more factor columns than rows.
+    """
+
+    @pytest.mark.parametrize("n, omega", [(1, 1.0), (7, 0.5), (300, 0.9), (300, 1.0)])
+    def test_h_equation_jacobians(self, n, omega):
+        p = h_equation(HEquationSpec(n=n, omega=omega))
+        rng = np.random.default_rng(300 + n)
+        for _ in range(5):
+            jac = p.jacobian(1.0 + rng.random(n))
+            assert isinstance(jac, IdentityMinusLowRankJacobian)
+            dense = DenseJacobian(jac.to_dense())
+            v = rng.standard_normal(n)
+            np.testing.assert_allclose(jac.matvec(v), dense.matvec(v), rtol=1e-12, atol=1e-12)
+            assert _rel_err(jac.solve(v), dense.solve(v)) <= 1e-12
+
+    def test_singular_in_both_classes(self):
+        # U = E = e_1 makes J = I - e_1 e_1^T, whose first column is zero
+        e1 = np.zeros((3, 1))
+        e1[0, 0] = 1.0
+        low = IdentityMinusLowRankJacobian(e1, e1)
+        for jac in (low, DenseJacobian(low.to_dense())):
+            with pytest.raises(SingularMatrix):
+                jac.solve(np.ones(3))
+
+    def test_factor_shapes_must_agree(self):
+        with pytest.raises(ValueError):
+            IdentityMinusLowRankJacobian(np.ones((3, 2)), np.ones((3, 1)))
 
 
 class TestStructuredSolveAgainstReference:

@@ -10,6 +10,7 @@ from nasolve.problems import (
     HEquationSpec,
     MultipolySpec,
     ProblemUnavailable,
+    _kernel_factors,
     fd_jacobian_check,
     h_equation,
     multipoly,
@@ -123,11 +124,20 @@ class TestHEquation:
             assert np.linalg.norm(f - f_ref) <= 1e-14 * np.linalg.norm(f_ref)
             assert np.linalg.norm(j - j_ref) <= 1e-14 * np.linalg.norm(j_ref)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 500, 2000, 3000])
+    def test_kernel_factors_match_dense_kernel(self, n):
+        # a kernel error of 5.6e-9 (step h = 0.45) already loses the omega = 1
+        # counts, so the factored kernel is held to a few ulps entrywise
+        a, e = _kernel_factors(n)
+        mu = (np.arange(1, n + 1) - 0.5) / n
+        kernel = mu[:, None] / (mu[:, None] + mu[None, :])
+        assert np.max(np.abs(a @ e.T - kernel) / kernel) <= 2e-15
+
     @pytest.mark.parametrize("n", [1000, 2500])
     def test_newton_step_memory_budget(self, n):
-        # the problem's resident kernel is built before tracing starts; one
-        # Jacobian build plus LU solve may then allocate the Jacobian and its
-        # LU factors, and no further n x n array
+        # the kernel factors are built before tracing starts; one Jacobian
+        # build plus Woodbury solve allocates n x r and r x r arrays (r about
+        # 200), which stay below half of one n x n array
         import tracemalloc
 
         p = h_equation(HEquationSpec(n=n, omega=1.0))
@@ -139,7 +149,7 @@ class TestHEquation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * n * n * 8
+        assert peak < 0.5 * n * n * 8
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):

@@ -188,6 +188,13 @@ class TestGammaSafeguard:
         assert over == []
 
 
+HEQ_BENCHMARK_CELLS = (
+    [(0.5, m, [True, 3, 4]) for m in MethodId]
+    + [(1.0, MethodId.newton, [True, 16, 17])]
+    + [(1.0, m, [True, 6, 7]) for m in MethodId if m not in (MethodId.newton, MethodId.proj_lm)]
+)
+
+
 class TestNewtonAndersonSolve:
     def test_square_unsafeguarded_exact_in_two(self):
         out = newton_anderson_solve(square_problem(), SolverConfig(), keep_history=True)
@@ -228,6 +235,15 @@ class TestNewtonAndersonSolve:
         p = h_equation(HEquationSpec(n=3000, omega=1.0))
         out = solve(p, MethodId.gamma_n_anderson, SolverConfig())
         assert out.converged and out.iterations == 6 and out.f_evals == 7
+
+    @pytest.mark.parametrize("omega, method, expected", HEQ_BENCHMARK_CELLS,
+                             ids=[f"w{omega:g}-{m.value}" for omega, m, _ in HEQ_BENCHMARK_CELLS])
+    def test_heq_benchmark_cells_pinned(self, omega, method, expected):
+        # the n = 2000 cells of perfbench/fingerprint.json as [converged,
+        # iterations, f_evals]; proj_lm at omega = 1 (about 6 s) is left to
+        # the benchmark's own fingerprint check
+        out = solve(h_equation(HEquationSpec(n=2000, omega=omega)), method, SolverConfig())
+        assert [out.converged, out.iterations, out.f_evals] == expected
 
     def test_first_step_is_plain_newton(self):
         p = multipoly(MultipolySpec(n=30, k=3))
