@@ -102,6 +102,25 @@ def h_equation(spec: HEquationSpec) -> NonlinearProblem:
     )
 
 
+def _int_power(x: np.ndarray, e: int) -> np.ndarray:
+    """x**e for an integer e >= 1, as a new array, without libm's negative-base pow.
+
+    e = 2 is ``np.square`` (the bits of ``x ** 2``); for e >= 3 the power is
+    taken of |x| and, for odd e, the sign of x is copied back.  Infinities,
+    NaNs and signed zeros come out as ``x ** e`` gives them; a finite result
+    can differ from it by 1 ulp.
+    """
+    if e == 1:
+        return x.copy()
+    if e == 2:
+        return np.square(x)
+    y = np.abs(x)
+    np.power(y, e, out=y)
+    if e % 2:
+        np.copysign(y, x, out=y)
+    return y
+
+
 def multipoly(spec: MultipolySpec) -> NonlinearProblem:
     """Chained polynomial f_i = x_i^2 + x_i - x_{i+1}^k, f_n = x_n^k.
 
@@ -109,20 +128,31 @@ def multipoly(spec: MultipolySpec) -> NonlinearProblem:
     The Jacobian is upper bidiagonal: diag 2x_i+1 for i < n, last diagonal
     entry k x_n^{k-1}, and superdiag -k x_{i+1}^{k-1}, so each linear solve
     costs O(n).  Start point: x_n = 0.9 and x_j = 0.3 elsewhere.
+
+    Powers go through ``_int_power`` (|x|^e, then the sign for odd e).
+    Anderson extrapolation pushes iterates below zero, and numpy's ``x ** k``
+    leaves its vector ``pow`` for a scalar path on negative entries: on
+    10^6 entries it took about 4 ms when they were positive and 130 ms when
+    they were negative, against 4-7 ms for ``_int_power`` (2-core Xeon).
+    Residual and Jacobian each allocate two n-length arrays per call.
     """
     n, k = spec.n, spec.k
 
     def residual(x):
-        f = np.empty(n)
-        f[:-1] = x[:-1] ** 2 + x[:-1] - x[1:] ** k
-        f[-1] = x[-1] ** k
+        xk = _int_power(x, k)
+        f = np.square(x)
+        f += x
+        f[:-1] -= xk[1:]
+        f[-1] = xk[-1]
         return f
 
     def jacobian(x):
-        diag = 2.0 * x + 1.0
-        diag[-1] = k * x[-1] ** (k - 1)
-        superdiag = -k * x[1:] ** (k - 1)
-        return UpperBidiagonalJacobian(diag, superdiag)
+        diag = 2.0 * x
+        diag += 1.0
+        superdiag = _int_power(x, k - 1)
+        superdiag *= -k
+        diag[-1] = -superdiag[-1]
+        return UpperBidiagonalJacobian(diag, superdiag[1:])
 
     start = np.full(n, 0.3)
     start[-1] = 0.9

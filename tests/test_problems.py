@@ -1,15 +1,17 @@
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nasolve.core import NonlinearProblem, SolverConfig, validate_problem
-from nasolve.linalg import DenseJacobian, UpperBidiagonalJacobian
+from nasolve.linalg import EPS, DenseJacobian, UpperBidiagonalJacobian
 from nasolve.problems import (
     REGISTRY_NAMES,
     HEquationSpec,
     MultipolySpec,
     ProblemUnavailable,
+    _int_power,
     _kernel_factors,
     fd_jacobian_check,
     h_equation,
@@ -189,6 +191,31 @@ class TestMultipoly:
         rng = np.random.default_rng(8)
         assert fd_jacobian_check(p, rng.uniform(0.1, 0.9, 20)) <= 1e-6
 
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_mixed_sign_point_matches_exact_arithmetic(self, k):
+        # negatives >= -0.5 and the signs arranged so that no residual entry
+        # cancels, so each entry is within 1 ulp of the exact value, relative
+        x = np.array([0.3, -0.45, 0.7, -0.2, -0.25, 0.45, -0.6])
+        p = multipoly(MultipolySpec(n=7, k=k))
+        q = [Fraction(v) for v in x]
+        f_exact = [q[i] ** 2 + q[i] - q[i + 1] ** k for i in range(6)] + [q[6] ** k]
+        j_exact = [[Fraction(0)] * 7 for _ in range(7)]
+        for i in range(6):
+            j_exact[i][i] = 2 * q[i] + 1
+            j_exact[i][i + 1] = -k * q[i + 1] ** (k - 1)
+        j_exact[6][6] = k * q[6] ** (k - 1)
+
+        def within_ulp(got, exact):
+            return abs(Fraction(float(got)) - exact) <= Fraction(EPS) * abs(exact)
+
+        f = p.residual(x)
+        assert all(within_ulp(a, b) for a, b in zip(f, f_exact)), f
+        jm = p.jacobian(x).to_dense()
+        for i in range(7):
+            for j in range(7):
+                assert within_ulp(jm[i, j], j_exact[i][j]), (i, j, jm[i, j])
+        assert fd_jacobian_check(p, x) <= 1e-6
+
     def test_start_and_ground_truth(self):
         p = multipoly(MultipolySpec(n=10, k=5))
         assert p.start[-1] == 0.9 and np.all(p.start[:-1] == 0.3)
@@ -199,6 +226,39 @@ class TestMultipoly:
             MultipolySpec(n=1, k=2)
         with pytest.raises(ValueError):
             MultipolySpec(n=5, k=1)
+
+
+def _power_inputs():
+    """Mixed-sign doubles: signed zeros, infinities, NaN, subnormals, values on
+    both sides of the overflow and underflow thresholds of x**7, and bulk."""
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+               -2.2e-308, 1.0, -1.0, 0.5, -0.5, 1.7976931348623157e308,
+               -1.7976931348623157e308, np.nextafter(1.0, 2.0), np.nextafter(-1.0, 0.0)]
+    rng = np.random.default_rng(13)
+    mags = 10.0 ** rng.uniform(-323.0, 308.0, 4000)
+    bulk = rng.uniform(-2.0, 2.0, 4000)
+    x = np.concatenate([special, mags, bulk])
+    return x * np.where(rng.random(len(x)) < 0.5, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 6, 7])
+def test_int_power_matches_pow_within_one_ulp(e):
+    x = _power_inputs()
+    with np.errstate(over="ignore", under="ignore"):
+        want = x ** e
+        got = _int_power(x, e)
+    assert not np.shares_memory(got, x)
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    got, want = got[~nan], want[~nan]
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    # finite doubles of one sign are ordered like their bit patterns
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert ulps[np.isfinite(want)].max() <= 1
+    if e <= 2:
+        np.testing.assert_array_equal(got, want)
 
 
 class TestFdJacobianCheck:
