@@ -5,6 +5,14 @@ bidiagonal band held as two arrays (diagonal and superdiagonal), and an
 identity minus a rank-r product held as two n x r factors.  Each class is the
 only home of its format, its solve included; solvers only rely on the common
 ``matvec``/``solve`` interface.
+
+One-pool rule: n-scale BLAS-3 and LAPACK calls go through
+``scipy.linalg.blas``/``scipy.linalg.lapack``, never numpy's ``@``.  numpy
+bundles its own OpenBLAS with its own thread pool, and on a 2-core machine a
+scipy call that follows a numpy BLAS-3 call runs up to twice as slow: handing
+the Woodbury capacitance from one pool to the other doubled the time of the
+H-equation's Newton-Anderson cells at n = 2000, and a numpy J^T J before the
+Cholesky factor did the same to that factor in projected Levenberg-Marquardt.
 """
 
 from __future__ import annotations
@@ -168,18 +176,16 @@ class IdentityMinusLowRankJacobian(JacobianMatrix):
         SingularMatrix when C, and so J (det J = det C), is numerically singular.
         """
         b = np.asarray(b, dtype=float)
-        # C is formed by scipy's dgemm, in the OpenBLAS that then factors it:
-        # numpy bundles a second OpenBLAS with its own thread pool, and handing
-        # the product from one pool to the other doubled the time of heq's
-        # Newton-Anderson cells at n = 2000 on 2 cores.  The transposes are
-        # Fortran-ordered views, so f2py copies neither factor.
+        # C is formed by scipy's dgemm, in the OpenBLAS that then factors it
+        # (the one-pool rule above).  The transposes are Fortran-ordered
+        # views, so f2py copies neither factor.
         cap = scipy.linalg.blas.dgemm(-1.0, self.e.T, self.u.T, beta=1.0, trans_b=1,
                                       c=np.eye(self.u.shape[1], order="F"), overwrite_c=1)
         return b + self.u @ DenseJacobian(cap).solve(self.e.T @ b)
 
     def to_dense(self):
-        m = self.u @ self.e.T
-        np.negative(m, out=m)
+        # -U E^T in Fortran order, which dsyrk and dpotrf take without a copy
+        m = scipy.linalg.blas.dgemm(-1.0, self.u, self.e, trans_b=1)
         m.flat[:: self.n + 1] += 1.0
         return m
 

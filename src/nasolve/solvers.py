@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig
@@ -274,10 +275,13 @@ def _projected_lm_step(p: NonlinearProblem, project):
     """
 
     def step(k, x, fx, res, residual):
+        # scipy's BLAS, the pool dpotrf runs in (linalg's one-pool rule);
+        # dsyrk fills only the upper triangle, the one dpotrf/dpotrs read
         jac = p.jacobian(x).to_dense()
-        jtf = jac.T @ fx
+        jtf = scipy.linalg.blas.dgemv(1.0, jac, fx, trans=1)
+        normal = scipy.linalg.blas.dsyrk(1.0, jac, trans=1)
+        del jac  # not read again: free it before the Cholesky copies
         grad = 2.0 * jtf
-        normal = jac.T @ jac
         rhs = -jtf
         g0 = res * res
         # the subproblem matrix is positive definite for mu > 0, so factor by

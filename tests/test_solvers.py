@@ -4,12 +4,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nasolve.core import NonlinearProblem, SolverConfig
-from nasolve.linalg import DenseJacobian, SingularMatrix
-from nasolve.problems import HEquationSpec, MultipolySpec, h_equation, multipoly, registry_entry
+from nasolve.linalg import DenseJacobian, IdentityMinusLowRankJacobian, SingularMatrix
+from nasolve.problems import (
+    HEquationSpec,
+    MultipolySpec,
+    h_equation,
+    multipoly,
+    registry,
+    registry_entry,
+)
 from nasolve.solvers import (
     LS_DAMPING,
     LS_SHRINK,
@@ -190,7 +198,7 @@ class TestGammaSafeguard:
 
 HEQ_BENCHMARK_CELLS = (
     [(0.5, m, [True, 3, 4]) for m in MethodId]
-    + [(1.0, MethodId.newton, [True, 16, 17])]
+    + [(1.0, m, [True, 16, 17]) for m in (MethodId.newton, MethodId.proj_lm)]
     + [(1.0, m, [True, 6, 7]) for m in MethodId if m not in (MethodId.newton, MethodId.proj_lm)]
 )
 
@@ -240,8 +248,7 @@ class TestNewtonAndersonSolve:
                              ids=[f"w{omega:g}-{m.value}" for omega, m, _ in HEQ_BENCHMARK_CELLS])
     def test_heq_benchmark_cells_pinned(self, omega, method, expected):
         # the n = 2000 cells of perfbench/fingerprint.json as [converged,
-        # iterations, f_evals]; proj_lm at omega = 1 (about 6 s) is left to
-        # the benchmark's own fingerprint check
+        # iterations, f_evals]
         out = solve(h_equation(HEquationSpec(n=2000, omega=omega)), method, SolverConfig())
         assert [out.converged, out.iterations, out.f_evals] == expected
 
@@ -416,7 +423,8 @@ class TestProjectedLm:
 
     def test_regularisation_bit_identical_to_adding_mu_times_identity(self, monkeypatch):
         # reference run: every Cholesky attempt factors normal + mu * I built
-        # with np.eye, mu taken from the same damping ladder
+        # with np.eye, mu taken from the same damping ladder; normal is the
+        # step's own dsyrk product (upper triangle, zeros below)
         from nasolve.solvers import MU_FLOOR, MU_SCALE
 
         p = h_equation(HEquationSpec(n=150, omega=1.0))
@@ -428,7 +436,7 @@ class TestProjectedLm:
             jac = p.jacobian(x)
             dense = jac.to_dense()
             res = float(np.linalg.norm(p.residual(x)))
-            state.update(normal=dense.T @ dense, attempt=0,
+            state.update(normal=scipy.linalg.blas.dsyrk(1.0, dense, trans=1), attempt=0,
                          ladder=(max(MU_SCALE * res * res, MU_FLOOR), res * res, 1.0))
             return jac
 
@@ -447,6 +455,41 @@ class TestProjectedLm:
         assert repr(fast.trace) == repr(ref.trace)
         assert fast.final_res == ref.final_res
         np.testing.assert_array_equal(fast.x, ref.x)
+
+    @pytest.mark.parametrize("case", [0.5, 1.0] + [p.name for p in registry()])
+    def test_scipy_normal_equations_match_numpy_reference(self, case, monkeypatch):
+        # reference run: J^T f, J^T J and -U E^T by numpy's @, as the step
+        # formed them before it moved to scipy's dgemv, dsyrk and dgemm; only
+        # rounding may differ.  A float case is the H-equation's omega.
+        if isinstance(case, float):
+            p = h_equation(HEquationSpec(n=300, omega=case))
+        else:
+            p = registry_entry(case)
+        fast = projected_lm_solve(p, SolverConfig())
+
+        def numpy_to_dense(self):
+            m = self.u @ self.e.T
+            np.negative(m, out=m)
+            m.flat[:: self.n + 1] += 1.0
+            return m
+
+        monkeypatch.setattr(IdentityMinusLowRankJacobian, "to_dense", numpy_to_dense)
+        monkeypatch.setattr(scipy.linalg.blas, "dgemv", lambda alpha, a, x, trans: a.T @ x)
+        monkeypatch.setattr(scipy.linalg.blas, "dsyrk", lambda alpha, a, trans: a.T @ a)
+        ref = projected_lm_solve(p, SolverConfig())
+        assert (fast.status, fast.iterations, fast.f_evals) == (ref.status, ref.iterations, ref.f_evals)
+        assert [rec.step_kind for rec in fast.trace] == [rec.step_kind for rec in ref.trace]
+        np.testing.assert_allclose(fast.x, ref.x, rtol=0.0, atol=1e-9)
+
+    def test_empty_problem_converges_before_any_step(self):
+        # _drive stops at ||f|| = 0 before the first step: dgemv rejects an
+        # empty x and dsyrk reports an illegal argument for a 0 x 0 matrix
+        p = NonlinearProblem(
+            name="empty", residual=lambda x: np.zeros(0),
+            jacobian=lambda x: DenseJacobian(np.zeros((0, 0))), start=np.zeros(0),
+        )
+        out = projected_lm_solve(p, SolverConfig())
+        assert out.converged and out.iterations == 0 and out.trace == []
 
 
 class TestCholeskyAgainstScipyWrappers:
