@@ -44,9 +44,6 @@ from .solvers import (
     SafeguardDecision,
     anderson_combine,
     gamma_safeguard,
-    newton_anderson_solve,
-    newton_solve,
-    projected_lm_solve,
     solve,
 )
 from .harness import (

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import NonlinearProblem, SolverConfig
 from .linalg import EPS, DenseJacobian, IdentityMinusLowRankJacobian, UpperBidiagonalJacobian
-from .solvers import newton_anderson_solve
+from .solvers import MethodId, solve
 
 GROUND_TRUTH_TOL = 1e-13  # residual tolerance of the solve with_ground_truth takes as the root
 
@@ -178,7 +178,7 @@ def with_ground_truth(p: NonlinearProblem) -> NonlinearProblem:
     validate_problem reflects that honestly.
     """
     cfg = SolverConfig(tol=GROUND_TRUTH_TOL, max_iters=400)
-    out = newton_anderson_solve(p, cfg, safeguard=True)
+    out = solve(p, MethodId.gamma_n_anderson, cfg)
     if not out.converged:
         raise RuntimeError(f"ground-truth solve failed on {p.name}: ||f|| = {out.final_res:.3e}")
     root = out.x

@@ -192,10 +192,13 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
     )
 
 
-def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, anderson, safeguard, linesearch):
-    """Step function of depth-1 Newton-Anderson for _drive, as described in
-    newton_anderson_solve.  Without ``anderson`` every step is plain Newton,
+def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, method: MethodId):
+    """Step function for _drive of ``method``, Newton or one of the
+    Newton-Anderson methods, as described in solve.  For Newton every step is
     x_{k+1} = x_k + w_{k+1}, and no extrapolation coefficient is computed."""
+    anderson = method is not MethodId.newton
+    safeguard = method in SAFEGUARD_METHODS
+    linesearch = method in LINESEARCH_METHODS
     x_prev: np.ndarray | None = None
     w_prev: np.ndarray | None = None
     w_prev_norm = 0.0
@@ -337,65 +340,39 @@ def _projected_lm_step(p: NonlinearProblem, project):
     return step
 
 
-def newton_solve(
-    p: NonlinearProblem, cfg: SolverConfig, keep_history: bool = False
-) -> SolveOutcome:
-    """Plain Newton iteration x_{k+1} = x_k + w_{k+1} until ||f|| < tol.
-
-    A singular Jacobian, a non-finite residual or the iteration cap yields a
-    normal non-converged outcome, with its reason in ``status``, rather than
-    an error.
-    """
-    step = _newton_anderson_step(p, cfg, False, False, False)
-    return _drive(p, cfg, p.start, step, keep_history)
-
-
-def newton_anderson_solve(
-    p: NonlinearProblem,
-    cfg: SolverConfig,
-    safeguard: bool = False,
-    linesearch: bool = False,
-    keep_history: bool = False,
-) -> SolveOutcome:
-    """Depth-1 Newton-Anderson; the first step is always plain Newton.
-
-    With ``safeguard`` the extrapolation coefficient is rescaled per
-    gamma_safeguard; degenerate steps (w_{k+1} == w_k) fall back to Newton.
-    With ``linesearch`` a step at k >= 1 that fails to reduce the residual by
-    LS_TRIGGER is replaced by an Armijo search along the combined direction;
-    a search that exhausts its trials proceeds from its trial of least merit.
-    """
-    step = _newton_anderson_step(p, cfg, True, safeguard, linesearch)
-    return _drive(p, cfg, p.start, step, keep_history)
-
-
-def projected_lm_solve(
-    p: NonlinearProblem, cfg: SolverConfig, keep_history: bool = False
-) -> SolveOutcome:
-    """Projected Levenberg-Marquardt with line-search and projected-gradient
-    fallbacks, for problems with (optional) box constraints; the start is
-    projected onto the box."""
-    lo, hi = p.bounds if p.bounds is not None else (-np.inf, np.inf)
-
-    def project(v):
-        return np.clip(v, lo, hi)
-
-    return _drive(p, cfg, project(p.start), _projected_lm_step(p, project), keep_history)
-
-
 def solve(
     p: NonlinearProblem,
     method: MethodId,
     cfg: SolverConfig | None = None,
     keep_history: bool = False,
 ) -> SolveOutcome:
-    """Dispatch a solve by method id."""
+    """Solve ``p`` from ``p.start`` by ``method``, a MethodId or its value,
+    until ||f|| < ``cfg.tol`` (``cfg`` defaults to SolverConfig()).
+
+    - ``newton``: plain Newton, x_{k+1} = x_k + w_{k+1}.
+    - The Newton-Anderson methods: depth-1 Newton-Anderson, whose first step
+      is always plain Newton.  Those in SAFEGUARD_METHODS rescale the
+      extrapolation coefficient per gamma_safeguard.  A degenerate step
+      (w_{k+1} == w_k, so gamma is undefined) falls back to Newton.  Those in
+      LINESEARCH_METHODS replace a step at k >= 1 that fails to reduce the
+      residual by LS_TRIGGER with an Armijo search along the combined
+      direction; a search that exhausts its trials proceeds from its trial
+      of least merit.
+    - ``proj_lm``: projected Levenberg-Marquardt with line-search and
+      projected-gradient fallbacks, for problems with (optional) box
+      constraints; the start is projected onto the box.
+
+    A singular Jacobian, a non-finite residual or the iteration cap yields a
+    normal non-converged outcome, with its reason in ``status``, rather than
+    an error.  With ``keep_history`` the outcome keeps a copy of every iterate.
+    """
     cfg = cfg or SolverConfig()
     method = MethodId(method)
-    if method is MethodId.newton:
-        return newton_solve(p, cfg, keep_history)
-    if method is MethodId.proj_lm:
-        return projected_lm_solve(p, cfg, keep_history)
-    safeguard = method in SAFEGUARD_METHODS
-    linesearch = method in LINESEARCH_METHODS
-    return newton_anderson_solve(p, cfg, safeguard, linesearch, keep_history)
+    if method is not MethodId.proj_lm:
+        return _drive(p, cfg, p.start, _newton_anderson_step(p, cfg, method), keep_history)
+    lo, hi = p.bounds if p.bounds is not None else (-np.inf, np.inf)
+
+    def project(v):
+        return np.clip(v, lo, hi)
+
+    return _drive(p, cfg, project(p.start), _projected_lm_step(p, project), keep_history)

@@ -42,12 +42,12 @@ from nasolve.problems import (
 from nasolve.solvers import (
     MethodId,
     gamma_safeguard,
-    newton_anderson_solve,
-    newton_solve,
     solve,
 )
 
 CFG = SolverConfig()
+# the four depth-1 Newton-Anderson methods
+NA_METHODS = tuple(m for m in MethodId if m not in (MethodId.newton, MethodId.proj_lm))
 
 
 def _report(criterion: str, detail: str):
@@ -73,7 +73,7 @@ def test_criterion_01_multipoly_newton_counts_exact():
     t0 = time.perf_counter()
     got = {}
     for k in (2, 3, 7):
-        out = newton_solve(multipoly(MultipolySpec(n=10_000, k=k)), CFG)
+        out = solve(multipoly(MultipolySpec(n=10_000, k=k)), MethodId.newton, CFG)
         assert out.converged
         got[k] = out.iterations
     elapsed = time.perf_counter() - t0
@@ -93,8 +93,8 @@ def test_criterion_01b_multipoly_ten_million_counts_exact():
     got = {}
     for k in expected:
         p = multipoly(MultipolySpec(n=10_000_000, k=k))
-        plain = newton_solve(p, CFG)
-        fast = newton_anderson_solve(p, CFG, safeguard=True)
+        plain = solve(p, MethodId.newton, CFG)
+        fast = solve(p, MethodId.gamma_n_anderson, CFG)
         assert plain.converged and fast.converged
         got[k] = (plain.iterations, fast.iterations)
     assert got == expected, f"steps {got} != {expected}"
@@ -110,7 +110,7 @@ def test_criterion_02_h_equation_newton_counts_desk_scale():
     t0 = time.perf_counter()
     got = {}
     for omega, target in published_minus_one.items():
-        out = newton_solve(h_equation(HEquationSpec(n=500, omega=omega)), CFG)
+        out = solve(h_equation(HEquationSpec(n=500, omega=omega)), MethodId.newton, CFG)
         assert out.converged
         got[omega] = out.iterations
         assert abs(out.iterations - target) <= 2, (
@@ -126,7 +126,7 @@ def test_criterion_02b_h_equation_full_scale_exact():
     exactly (under the one-lower step convention)."""
     expected = {0.5: 3, 0.9: 4, 0.999: 7, 1.0: 16}
     for omega, steps in expected.items():
-        out = newton_solve(h_equation(HEquationSpec(n=10_000, omega=omega)), CFG)
+        out = solve(h_equation(HEquationSpec(n=10_000, omega=omega)), MethodId.newton, CFG)
         assert out.converged and out.iterations == steps
     _report("2b full-scale H-equation", f"steps {expected} exact")
 
@@ -142,16 +142,15 @@ def test_criterion_03_anderson_beats_newton_at_singular_roots():
         )
     lines = []
     for label, p, cfg in cases:
-        newton_iters = newton_solve(p, cfg).iterations
+        newton_iters = solve(p, MethodId.newton, cfg).iterations
         variant_iters = []
-        for safeguard in (False, True):
-            for linesearch in (False, True):
-                out = newton_anderson_solve(p, cfg, safeguard, linesearch)
-                assert out.converged, f"{label} variant sg={safeguard} ls={linesearch} failed"
-                assert out.iterations < newton_iters, (
-                    f"{label}: variant {out.iterations} !< newton {newton_iters}"
-                )
-                variant_iters.append(out.iterations)
+        for method in NA_METHODS:
+            out = solve(p, method, cfg)
+            assert out.converged, f"{label} variant {method} failed"
+            assert out.iterations < newton_iters, (
+                f"{label}: variant {out.iterations} !< newton {newton_iters}"
+            )
+            variant_iters.append(out.iterations)
         lines.append(f"{label}: newton {newton_iters} vs variants {variant_iters}")
     _report("3 acceleration at singular roots", "; ".join(lines))
 
@@ -226,11 +225,11 @@ def test_criterion_06_one_dimensional_exactness():
     """f(x) = x^2 from x0 = 1: the unsafeguarded accelerated iteration lands
     on x2 = 0 exactly; safeguarded with r = 1/2 lands on x2 = 1/6; both to
     1e-15."""
-    out = newton_anderson_solve(_square_problem(), CFG, safeguard=False, keep_history=True)
+    out = solve(_square_problem(), MethodId.n_anderson, CFG, keep_history=True)
     assert out.converged and out.iterations == 2
     assert out.iterate_history[2][0] == 0.0
     cfg = replace(CFG, r=0.5)
-    out2 = newton_anderson_solve(_square_problem(), cfg, safeguard=True, keep_history=True)
+    out2 = solve(_square_problem(), MethodId.gamma_n_anderson, cfg, keep_history=True)
     x2 = out2.iterate_history[2][0]
     assert abs(x2 - 1.0 / 6.0) <= 1e-15
     _report("6 one-dimensional exactness", f"x2 = {out.iterate_history[2][0]} and {x2}")
@@ -243,7 +242,7 @@ def test_criterion_07_rate_and_root_order_recovery():
     for k in (2, 3, 7):
         d = k - 1
         p = multipoly(MultipolySpec(n=10_000, k=k))
-        out = newton_solve(p, CFG)
+        out = solve(p, MethodId.newton, CFG)
         norms = [float(np.linalg.norm(it.null)) for it in out.errors]
         rho = estimate_rate([v for v in norms if v > 1e-12])
         target = d / (d + 1.0)
@@ -257,7 +256,7 @@ def test_criterion_07_rate_and_root_order_recovery():
 def _gamma_na_run_k2():
     p = multipoly(MultipolySpec(n=10_000, k=2))
     cfg = replace(CFG, r=0.7)
-    out = newton_anderson_solve(p, cfg, safeguard=True)
+    out = solve(p, MethodId.gamma_n_anderson, cfg)
     assert out.converged
     return p, out
 

@@ -1,4 +1,6 @@
+import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from nasolve.core import NonlinearProblem, SolverConfig, validate_problem
 from nasolve.linalg import DenseJacobian
 from nasolve.problems import MultipolySpec, multipoly
 from nasolve import solvers
-from nasolve.solvers import newton_anderson_solve, newton_solve
+from nasolve.solvers import MethodId, solve
 
 
 def test_multipoly_with_ground_truth_validates_clean():
@@ -137,16 +139,16 @@ def _square_problem():
 
 
 def test_trace_is_monotone_and_gap_free():
-    for solver in (newton_solve, newton_anderson_solve):
-        out = solver(_square_problem(), SolverConfig())
+    for method in (MethodId.newton, MethodId.n_anderson):
+        out = solve(_square_problem(), method, SolverConfig())
         assert [rec.k for rec in out.trace] == list(range(out.iterations))
 
 
 def test_newton_records_have_unit_theta_and_zero_gamma():
     p = multipoly(MultipolySpec(n=50, k=2))
     for out in (
-        newton_solve(p, SolverConfig()),
-        newton_anderson_solve(p, SolverConfig(), safeguard=True),
+        solve(p, MethodId.newton, SolverConfig()),
+        solve(p, MethodId.gamma_n_anderson, SolverConfig()),
     ):
         assert out.converged
         for rec in out.trace:
@@ -160,9 +162,9 @@ def test_newton_records_have_unit_theta_and_zero_gamma():
 
 def test_converged_iff_final_res_below_tol():
     cfg = SolverConfig(max_iters=3)
-    out = newton_solve(_square_problem(), cfg)
+    out = solve(_square_problem(), MethodId.newton, cfg)
     assert not out.converged and out.final_res >= cfg.tol and out.iterations <= 3
-    out = newton_solve(_square_problem(), SolverConfig())
+    out = solve(_square_problem(), MethodId.newton, SolverConfig())
     assert out.converged and out.final_res < 1e-8
 
 
@@ -174,3 +176,12 @@ def test_public_names_resolve_and_none_is_a_module():
         assert namespace[name] is getattr(nasolve, name)
     assert not {"DegenerateSteps", "InsufficientTail", "OutOfRange"} & set(nasolve.__all__)
     assert {"SingularMatrix", "ProblemUnavailable", "solve"} <= set(nasolve.__all__)
+
+
+def test_readme_python_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
+    plain, fast = capsys.readouterr().out.splitlines()[0].split(" -> ")
+    assert int(fast) < int(plain)

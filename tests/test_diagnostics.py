@@ -22,7 +22,7 @@ from nasolve.problems import (
     multipoly,
     with_ground_truth,
 )
-from nasolve.solvers import newton_anderson_solve, newton_solve, projected_lm_solve, solve
+from nasolve.solvers import MethodId, solve
 
 
 def toy_problem(n=4):
@@ -166,7 +166,7 @@ class TestNuRatio:
         for k in (2, 3):
             p = multipoly(MultipolySpec(n=2000, k=k))
             cfg = replace(SolverConfig(), r=0.7)
-            out = newton_anderson_solve(p, cfg, safeguard=True)
+            out = solve(p, MethodId.gamma_n_anderson, cfg)
             assert out.converged
             fired = 0
             for prev, rec in zip(out.trace, out.trace[1:]):
@@ -219,7 +219,7 @@ class TestClassifyPair:
 
     def test_late_iterations_on_multipoly_are_n_pairs(self):
         p = multipoly(MultipolySpec(n=100, k=2))
-        out = newton_anderson_solve(p, replace(SolverConfig(), r=0.7), safeguard=True)
+        out = solve(p, MethodId.gamma_n_anderson, replace(SolverConfig(), r=0.7))
         assert out.converged
         report = diagnose_run(p, out)
         late = [s.pair for s in report.steps if s.pair is not None][-3:]
@@ -243,7 +243,7 @@ class TestCompatibilityMonitor:
 
     def test_strong_n_pair_steps_compatible_on_multipoly(self):
         p = multipoly(MultipolySpec(n=100, k=2))
-        out = newton_anderson_solve(p, replace(SolverConfig(), r=0.7), safeguard=True)
+        out = solve(p, MethodId.gamma_n_anderson, replace(SolverConfig(), r=0.7))
         report = diagnose_run(p, out)
         flagged = [
             s for s in report.steps
@@ -268,7 +268,7 @@ class TestRateEstimation:
     def test_newton_multipoly_rate_recovery(self):
         # the null component contracts by d/(d+1) per step
         p = multipoly(MultipolySpec(n=100, k=3))
-        out = newton_solve(p, SolverConfig())
+        out = solve(p, MethodId.newton, SolverConfig())
         norms = [np.linalg.norm(it.null) for it in out.errors]
         rho = estimate_rate([v for v in norms if v > 1e-12])
         assert rho == pytest.approx(2.0 / 3.0, abs=0.05)
@@ -283,7 +283,7 @@ class TestRateEstimation:
 
     def test_high_order_recovery(self):
         p = multipoly(MultipolySpec(n=100, k=7))
-        out = newton_solve(p, SolverConfig())
+        out = solve(p, MethodId.newton, SolverConfig())
         norms = [np.linalg.norm(it.null) for it in out.errors]
         rho = estimate_rate([v for v in norms if v > 1e-12])
         assert estimate_root_order(rho) == pytest.approx(6.0, abs=0.5)
@@ -292,7 +292,7 @@ class TestRateEstimation:
 class TestDiagnoseRun:
     def test_report_shape_and_estimates(self):
         p = multipoly(MultipolySpec(n=100, k=2))
-        out = newton_solve(p, SolverConfig())
+        out = solve(p, MethodId.newton, SolverConfig())
         report = diagnose_run(p, out)
         assert len(report.steps) == out.iterations
         assert report.rate == pytest.approx(0.5, abs=0.05)
@@ -302,8 +302,8 @@ class TestDiagnoseRun:
     def test_history_not_needed(self):
         p = multipoly(MultipolySpec(n=200, k=3))
         cfg = replace(SolverConfig(), r=0.7)
-        with_history = newton_anderson_solve(p, cfg, safeguard=True, keep_history=True)
-        without = newton_anderson_solve(p, cfg, safeguard=True)
+        with_history = solve(p, MethodId.gamma_n_anderson, cfg, keep_history=True)
+        without = solve(p, MethodId.gamma_n_anderson, cfg)
         assert without.iterate_history is None
         assert diagnose_run(p, without) == diagnose_run(p, with_history)
 
@@ -315,19 +315,19 @@ class TestDiagnoseRun:
             jacobian=lambda x: DenseJacobian(np.array([[2.0 * x[0]]])),
             start=np.array([1.0]), known_root=np.array([1.0]), null_basis=np.eye(1),
         )
-        report = diagnose_run(p, newton_solve(p, SolverConfig()))
+        report = diagnose_run(p, solve(p, MethodId.newton, SolverConfig()))
         assert report.rate > 1.0 and report.root_order is None
 
     def test_outcome_without_ground_truth_raises(self):
         p = multipoly(MultipolySpec(n=20, k=2))
-        out = newton_solve(replace(p, known_root=None, null_basis=None), SolverConfig())
+        out = solve(replace(p, known_root=None, null_basis=None), MethodId.newton, SolverConfig())
         assert out.errors is None
         with pytest.raises(MissingGroundTruth):
             diagnose_run(p, out)
 
     def test_proj_lm_steps_get_no_pair(self):
         p = multipoly(MultipolySpec(n=30, k=2))
-        out = projected_lm_solve(p, SolverConfig())
+        out = solve(p, MethodId.proj_lm, SolverConfig())
         report = diagnose_run(p, out)
         assert len(report.steps) == out.iterations > 1
         assert all(s.pair is None for s in report.steps)
@@ -345,7 +345,7 @@ class TestDiagnoseRun:
         p = replace(
             p, residual=counted("residual", p.residual), jacobian=counted("jacobian", p.jacobian)
         )
-        out = newton_anderson_solve(p, replace(SolverConfig(), r=0.7), safeguard=True)
+        out = solve(p, MethodId.gamma_n_anderson, replace(SolverConfig(), r=0.7))
         assert calls["residual"] == out.f_evals and calls["jacobian"] == out.iterations
         calls.update(residual=0, jacobian=0)
         report = diagnose_run(p, out)

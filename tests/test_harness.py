@@ -361,6 +361,13 @@ class TestCli:
         assert capsys.readouterr().err.endswith(f" does not take {name}\n")
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_method_is_error_exit(self, tmp_path, capsys):
+        rc = cli.main(["--problem", "Himmelbau", "--method", "newton", "--method", "newton",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: each method may be given once\n"
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_is_error_exit(self, tmp_path, capsys):
         rc = cli.main(["--problem", "Himmelbau", "--r", "1.5", "--out", str(tmp_path / "out")])
         assert rc == 2

@@ -16,7 +16,7 @@ from nasolve.linalg import (
     lstsq_gamma,
 )
 from nasolve.problems import HEquationSpec, MultipolySpec, h_equation, multipoly
-from nasolve.solvers import newton_anderson_solve
+from nasolve.solvers import MethodId, solve
 
 
 def _reference_structured_solve(a, b):
@@ -304,7 +304,7 @@ class TestStructuredSolveAgainstReference:
     @pytest.mark.parametrize("k", [2, 3, 7])
     def test_multipoly_jacobians_along_gamma_na_run(self, k):
         p = multipoly(MultipolySpec(n=2000, k=k))
-        out = newton_anderson_solve(p, SolverConfig(r=0.7), safeguard=True, keep_history=True)
+        out = solve(p, MethodId.gamma_n_anderson, SolverConfig(r=0.7), keep_history=True)
         assert out.converged
         for x in out.iterate_history:
             a, fx = p.jacobian(x), p.residual(x)

@@ -20,7 +20,7 @@ from nasolve.problems import (
     registry_entry,
     with_ground_truth,
 )
-from nasolve.solvers import newton_anderson_solve, newton_solve
+from nasolve.solvers import MethodId, solve
 
 
 def _reference_kernel_dot(mu, x, chunk=512):
@@ -56,9 +56,9 @@ class TestHEquation:
         np.testing.assert_allclose(p.residual(x), x - 1.0, atol=1e-15)
         # the recommended start is already the root; one Newton step from
         # anywhere else lands exactly on it
-        assert newton_solve(p, SolverConfig()).iterations == 0
+        assert solve(p, MethodId.newton, SolverConfig()).iterations == 0
         shifted = replace(p, start=np.full(40, 3.0))
-        out = newton_solve(shifted, SolverConfig())
+        out = solve(shifted, MethodId.newton, SolverConfig())
         assert out.converged and out.iterations == 1
 
     def test_residual_matches_extended_precision_quadrature(self):
@@ -309,7 +309,7 @@ class TestRegistry:
 
     def test_bullard_biegler_root_in_box(self):
         p = registry_entry("Bullard-Biegler")
-        out = newton_anderson_solve(p, replace(SolverConfig(), r=0.5), safeguard=True)
+        out = solve(p, MethodId.gamma_n_anderson, replace(SolverConfig(), r=0.5))
         assert out.converged
         lo, hi = p.bounds
         assert np.all(out.x >= lo - 1e-9) and np.all(out.x <= hi + 1e-9)

@@ -19,17 +19,19 @@ from nasolve.problems import (
     registry_entry,
 )
 from nasolve.solvers import (
+    LINESEARCH_METHODS,
     LS_DAMPING,
     LS_SHRINK,
+    SAFEGUARD_METHODS,
     MethodId,
     _backtrack,
     anderson_combine,
     gamma_safeguard,
-    newton_anderson_solve,
-    newton_solve,
-    projected_lm_solve,
     solve,
 )
+
+# the four depth-1 Newton-Anderson methods
+NA_METHODS = tuple(m for m in MethodId if m not in (MethodId.newton, MethodId.proj_lm))
 
 
 def newton_step(p, x):
@@ -88,7 +90,7 @@ class TestNewtonStep:
 class TestNewtonSolve:
     def test_scalar_square_converges_at_14(self):
         # iterates x_k = 2^-k, residual 4^-k; first below 1e-8 at k = 14
-        out = newton_solve(square_problem(), SolverConfig())
+        out = solve(square_problem(), MethodId.newton, SolverConfig())
         assert out.converged
         assert out.iterations == 14
         assert out.final_res == pytest.approx(4.0 ** -14, rel=1e-12)
@@ -100,12 +102,12 @@ class TestNewtonSolve:
             jacobian=lambda x: DenseJacobian(np.array([[2.0 * x[0]]])),
             start=np.array([0.0]),
         )
-        out = newton_solve(p, SolverConfig())
+        out = solve(p, MethodId.newton, SolverConfig())
         assert not out.converged and out.iterations == 0
         assert out.status == "singular_jacobian"
 
     def test_already_converged_start(self):
-        out = newton_solve(linear_problem(np.zeros(3)), SolverConfig())
+        out = solve(linear_problem(np.zeros(3)), MethodId.newton, SolverConfig())
         assert out.converged and out.iterations == 0 and out.trace == []
 
 
@@ -199,19 +201,19 @@ class TestGammaSafeguard:
 HEQ_BENCHMARK_CELLS = (
     [(0.5, m, [True, 3, 4]) for m in MethodId]
     + [(1.0, m, [True, 16, 17]) for m in (MethodId.newton, MethodId.proj_lm)]
-    + [(1.0, m, [True, 6, 7]) for m in MethodId if m not in (MethodId.newton, MethodId.proj_lm)]
+    + [(1.0, m, [True, 6, 7]) for m in NA_METHODS]
 )
 
 
 class TestNewtonAndersonSolve:
     def test_square_unsafeguarded_exact_in_two(self):
-        out = newton_anderson_solve(square_problem(), SolverConfig(), keep_history=True)
+        out = solve(square_problem(), MethodId.n_anderson, SolverConfig(), keep_history=True)
         assert out.converged and out.iterations == 2
         assert out.iterate_history[2][0] == 0.0
 
     def test_square_safeguarded_lands_on_sixth(self):
         cfg = replace(SolverConfig(), r=0.5)
-        out = newton_anderson_solve(square_problem(), cfg, safeguard=True, keep_history=True)
+        out = solve(square_problem(), MethodId.gamma_n_anderson, cfg, keep_history=True)
         assert abs(out.iterate_history[2][0] - 1.0 / 6.0) <= 1e-15
         rec = out.trace[1]
         assert rec.gamma_raw == pytest.approx(-1.0)
@@ -221,21 +223,20 @@ class TestNewtonAndersonSolve:
     def test_beats_newton_on_singular_h_equation(self):
         p = h_equation(HEquationSpec(n=500, omega=1.0))
         cfg = SolverConfig()
-        newton_iters = newton_solve(p, cfg).iterations
-        for safeguard in (False, True):
-            for linesearch in (False, True):
-                out = newton_anderson_solve(p, cfg, safeguard, linesearch)
-                assert out.converged
-                assert out.iterations < newton_iters
+        newton_iters = solve(p, MethodId.newton, cfg).iterations
+        for method in NA_METHODS:
+            out = solve(p, method, cfg)
+            assert out.converged
+            assert out.iterations < newton_iters
 
     @pytest.mark.parametrize("k,newton_iters,gamma_na_iters", [(2, 14, 7), (3, 16, 8), (7, 17, 8)])
     def test_multipoly_counts_past_paper_scale(self, k, newton_iters, gamma_na_iters):
         # n = 10^6, a hundred times the paper's n = 10^4
         p = multipoly(MultipolySpec(n=1_000_000, k=k))
         cfg = SolverConfig(r=0.7)
-        plain = newton_solve(p, cfg)
+        plain = solve(p, MethodId.newton, cfg)
         assert plain.converged and plain.iterations == newton_iters
-        fast = newton_anderson_solve(p, cfg, safeguard=True)
+        fast = solve(p, MethodId.gamma_n_anderson, cfg)
         assert fast.converged and fast.iterations == gamma_na_iters
 
     def test_heq_counts_past_old_dense_limit(self):
@@ -254,7 +255,7 @@ class TestNewtonAndersonSolve:
 
     def test_first_step_is_plain_newton(self):
         p = multipoly(MultipolySpec(n=30, k=3))
-        out = newton_anderson_solve(p, SolverConfig())
+        out = solve(p, MethodId.n_anderson, SolverConfig())
         assert out.trace[0].step_kind == "newton"
         assert out.trace[0].gamma_used == 0.0
         assert all(rec.step_kind != "newton" or rec.theta == 1.0 for rec in out.trace)
@@ -265,7 +266,7 @@ class TestNewtonAndersonSolve:
 
         p = registry_entry("Bullard-Biegler")
         cfg = replace(SolverConfig(), r=0.5)
-        out = newton_anderson_solve(p, cfg, safeguard=True, keep_history=True)
+        out = solve(p, MethodId.gamma_n_anderson, cfg, keep_history=True)
         assert out.converged
         fallbacks = [rec for rec in out.trace if rec.step_kind == "newton" and rec.k > 0]
         assert fallbacks, "expected at least one safeguard Newton fallback on this run"
@@ -279,7 +280,7 @@ class TestNewtonAndersonSolve:
         # where the scaling branch fired, |g|/|1-g| <= r ||w_{k+1}|| / ||w_k||
         p = multipoly(MultipolySpec(n=2000, k=3))
         cfg = replace(SolverConfig(), r=0.7)
-        out = newton_anderson_solve(p, cfg, safeguard=True)
+        out = solve(p, MethodId.gamma_n_anderson, cfg)
         assert out.converged
         fired = 0
         for prev, rec in zip(out.trace, out.trace[1:]):
@@ -366,7 +367,7 @@ class TestProjectedLm:
             jacobian=lambda x: DenseJacobian(np.eye(5)),
             start=a + 0.1,
         )
-        out = projected_lm_solve(p, SolverConfig())
+        out = solve(p, MethodId.proj_lm, SolverConfig())
         e = np.full(5, 0.1)
         iters = 0
         while np.linalg.norm(e) >= 1e-8:
@@ -387,7 +388,7 @@ class TestProjectedLm:
             jacobian=lambda x: DenseJacobian(np.eye(5)),
             start=np.zeros(5),
         )
-        out = projected_lm_solve(p, SolverConfig(max_iters=1), keep_history=True)
+        out = solve(p, MethodId.proj_lm, SolverConfig(max_iters=1), keep_history=True)
         mu = MU_SCALE * 5.0
         np.testing.assert_allclose(
             out.iterate_history[1], a + (0.0 - 1.0) * (mu / (1.0 + mu)), rtol=1e-12
@@ -397,7 +398,7 @@ class TestProjectedLm:
         iters = {}
         for k in (2, 3, 7):
             p = multipoly(MultipolySpec(n=50, k=k))
-            out = projected_lm_solve(p, SolverConfig(max_iters=200))
+            out = solve(p, MethodId.proj_lm, SolverConfig(max_iters=200))
             assert out.converged
             iters[k] = out.iterations
         assert iters[2] <= iters[3] <= iters[7]
@@ -410,7 +411,7 @@ class TestProjectedLm:
             start=np.array([0.5, -0.5]),
             bounds=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
         )
-        out = projected_lm_solve(p, SolverConfig(), keep_history=True)
+        out = solve(p, MethodId.proj_lm, SolverConfig(), keep_history=True)
         assert not out.converged  # the root lies outside the box
         for x in out.iterate_history:
             assert np.all(x >= -1.0) and np.all(x <= 1.0)
@@ -428,7 +429,7 @@ class TestProjectedLm:
         from nasolve.solvers import MU_FLOOR, MU_SCALE
 
         p = h_equation(HEquationSpec(n=150, omega=1.0))
-        fast = projected_lm_solve(p, SolverConfig())
+        fast = solve(p, MethodId.proj_lm, SolverConfig())
 
         state = {}
 
@@ -450,7 +451,7 @@ class TestProjectedLm:
             return dpotrf(eye_form, **kwargs)
 
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", dpotrf_eye)
-        ref = projected_lm_solve(replace(p, jacobian=jacobian), SolverConfig())
+        ref = solve(replace(p, jacobian=jacobian), MethodId.proj_lm, SolverConfig())
         assert ref.iterations == fast.iterations > 0
         assert repr(fast.trace) == repr(ref.trace)
         assert fast.final_res == ref.final_res
@@ -465,7 +466,7 @@ class TestProjectedLm:
             p = h_equation(HEquationSpec(n=300, omega=case))
         else:
             p = registry_entry(case)
-        fast = projected_lm_solve(p, SolverConfig())
+        fast = solve(p, MethodId.proj_lm, SolverConfig())
 
         def numpy_to_dense(self):
             m = self.u @ self.e.T
@@ -476,7 +477,7 @@ class TestProjectedLm:
         monkeypatch.setattr(IdentityMinusLowRankJacobian, "to_dense", numpy_to_dense)
         monkeypatch.setattr(scipy.linalg.blas, "dgemv", lambda alpha, a, x, trans: a.T @ x)
         monkeypatch.setattr(scipy.linalg.blas, "dsyrk", lambda alpha, a, trans: a.T @ a)
-        ref = projected_lm_solve(p, SolverConfig())
+        ref = solve(p, MethodId.proj_lm, SolverConfig())
         assert (fast.status, fast.iterations, fast.f_evals) == (ref.status, ref.iterations, ref.f_evals)
         assert [rec.step_kind for rec in fast.trace] == [rec.step_kind for rec in ref.trace]
         np.testing.assert_allclose(fast.x, ref.x, rtol=0.0, atol=1e-9)
@@ -488,7 +489,7 @@ class TestProjectedLm:
             name="empty", residual=lambda x: np.zeros(0),
             jacobian=lambda x: DenseJacobian(np.zeros((0, 0))), start=np.zeros(0),
         )
-        out = projected_lm_solve(p, SolverConfig())
+        out = solve(p, MethodId.proj_lm, SolverConfig())
         assert out.converged and out.iterations == 0 and out.trace == []
 
 
@@ -548,12 +549,12 @@ class TestTermination:
             jacobian=lambda x: DenseJacobian(np.array([[1.0 / x[0]]])),
             start=np.array([3.0]),
         )
-        out = newton_solve(p, SolverConfig())
+        out = solve(p, MethodId.newton, SolverConfig())
         assert out.status == "nonfinite"
         assert out.iterations == 1 and out.f_evals == 2 and out.x[0] < 0.0
 
     def test_iteration_cap(self):
-        out = newton_solve(square_problem(), SolverConfig(max_iters=3))
+        out = solve(square_problem(), MethodId.newton, SolverConfig(max_iters=3))
         assert out.status == "max_iters" and out.iterations == 3 and out.f_evals == 4
 
 
@@ -614,3 +615,33 @@ def test_registry_cell_pinned(name, method):
     assert out.iterations == iterations
     assert Counter(rec.step_kind for rec in out.trace) == kinds
     assert sum(rec.ls_evals for rec in out.trace) == ls_evals
+
+
+# what each method may and must record, read from its name: the gamma_
+# methods safeguard, the armijo_ methods and proj_lm line-search
+@pytest.mark.parametrize("method", list(MethodId), ids=str)
+def test_method_table(method):
+    problems = registry() + [
+        h_equation(HEquationSpec(n=200, omega=1.0)),
+        multipoly(MultipolySpec(n=200, k=3)),
+    ]
+    trace = [rec for p in problems for rec in solve(p, method, SolverConfig()).trace]
+    kinds = {rec.step_kind for rec in trace}
+    scaled = sum(rec.lam < 1.0 for rec in trace)
+    searched = sum(rec.ls_evals > 0 for rec in trace)
+    if method is MethodId.newton:
+        assert kinds == {"newton"}
+    elif method is MethodId.proj_lm:
+        assert kinds <= {"lm", "lm_linesearch", "projected_gradient"}
+    else:
+        assert kinds <= {"newton", "anderson", "anderson_linesearch"}
+    assert (method in SAFEGUARD_METHODS) == method.value.startswith("gamma_")
+    assert (method in LINESEARCH_METHODS) == ("armijo_" in method.value)
+    if method in SAFEGUARD_METHODS:
+        assert scaled > 0
+    else:
+        assert scaled == 0
+    if method in LINESEARCH_METHODS or method is MethodId.proj_lm:
+        assert searched > 0
+    else:
+        assert searched == 0
