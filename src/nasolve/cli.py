@@ -58,15 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     methods = tuple(MethodId(m) for m in args.method) if args.method else ALL_METHODS
-    try:
-        cfg = SolverConfig(tol=args.tol, max_iters=args.max_iters, r=args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     names = REGISTRY_NAMES if args.problem == "registry" else (args.problem,)
     params = {"n": args.n, "omega": args.omega, "k": args.k}
     try:
+        cfg = SolverConfig(tol=args.tol, max_iters=args.max_iters, r=args.r)
         reports = [run_experiment(ExperimentSpec(name, methods, config=cfg, **params))
                    for name in names]
         if args.problem == "registry":

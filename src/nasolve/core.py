@@ -91,24 +91,26 @@ class SolverConfig:
             raise ValueError(f"safeguard parameter r must lie in (0,1), got {self.r}")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class IterationRecord:
     """One step of a solve: residual entering step k plus the step taken from it.
 
     ``res_norm`` is ||f(x_k)||, ``step_norm`` is ||w_{k+1}||, and the gamma /
     lambda / theta fields describe the extrapolation applied at this step
-    (gamma_used = lam * gamma_raw; theta = 1 for plain Newton steps).  A
-    safeguard Newton fallback keeps the raw gamma but records lam = 1 and
-    gamma_used = 0.
+    (gamma_used = lam * gamma_raw); their defaults are a step with none, as
+    Newton and Levenberg-Marquardt steps are.  A safeguard Newton fallback
+    keeps the raw gamma but records lam = 1 and gamma_used = 0.  The fields
+    are keyword-only, and in order they are the columns of the history files
+    (``lam`` is written ``lambda``).
     """
 
     k: int
     res_norm: float
     step_norm: float
-    gamma_raw: float
-    lam: float
-    gamma_used: float
-    theta: float
+    gamma_raw: float = 0.0
+    lam: float = 1.0
+    gamma_used: float = 0.0
+    theta: float = 1.0
     step_kind: str
     ls_evals: int = 0
 

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .core import NonlinearProblem, SolveOutcome, SolverConfig
+from .core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig
 from .problems import (
     REGISTRY_NAMES,
     HEquationSpec,
@@ -22,17 +22,7 @@ from .problems import (
 )
 from .solvers import LINESEARCH_METHODS, MethodId, solve
 
-HISTORY_COLUMNS = (
-    "k",
-    "res_norm",
-    "step_norm",
-    "gamma_raw",
-    "lambda",
-    "gamma_used",
-    "theta",
-    "step_kind",
-    "ls_evals",
-)
+HISTORY_COLUMNS = tuple("lambda" if f.name == "lam" else f.name for f in fields(IterationRecord))
 SUMMARY_COLUMNS = ("problem", "algorithm", "iterations", "f_evals", "final_res", "lm_ls_pg")
 
 
@@ -184,18 +174,12 @@ def summary_records(reports: list[RunReport]) -> list[dict]:
 
 
 def history_records(outcome: SolveOutcome) -> list[dict]:
+    """One row per step in HISTORY_COLUMNS order; a number (int fields
+    included, which .17g prints as str does) gets 17 significant digits."""
     return [
-        dict(zip(HISTORY_COLUMNS, (
-            str(rec.k),
-            _fmt_float(rec.res_norm),
-            _fmt_float(rec.step_norm),
-            _fmt_float(rec.gamma_raw),
-            _fmt_float(rec.lam),
-            _fmt_float(rec.gamma_used),
-            _fmt_float(rec.theta),
-            rec.step_kind,
-            str(rec.ls_evals),
-        )))
+        dict(zip(HISTORY_COLUMNS, [
+            v if isinstance(v, str) else _fmt_float(v) for v in vars(rec).values()
+        ]))
         for rec in outcome.trace
     ]
 

@@ -143,7 +143,7 @@ class UpperBidiagonalJacobian(JacobianMatrix):
 
     def to_dense(self):
         m = np.diag(self.diag)
-        m += np.diag(self.superdiag, 1)
+        m.flat[1 :: self.n + 1] += self.superdiag
         return m
 
     def max_abs(self):
@@ -154,7 +154,7 @@ class IdentityMinusLowRankJacobian(JacobianMatrix):
     """J = I - U E^T held as its two n x r factors: the H-equation's Jacobian.
 
     ``matvec`` and ``solve`` cost O(n r) plus one r x r LU, and no n x n array
-    is formed except by ``to_dense`` and ``max_abs``.
+    is formed except by ``to_dense``.
     """
 
     def __init__(self, u: np.ndarray, e: np.ndarray):
@@ -190,7 +190,16 @@ class IdentityMinusLowRankJacobian(JacobianMatrix):
         return m
 
     def max_abs(self):
-        return _max_abs(self.to_dense())
+        # over row blocks of I - U E^T; the transposes are Fortran-ordered views
+        # (as in solve), so f2py copies neither factor.  np.max keeps a NaN.
+        n, rows = self.n, 256
+        peaks = []
+        for i in range(0, n, rows):
+            # rows i.. of -U E^T, formed as the transpose of -E U_rows^T
+            block = scipy.linalg.blas.dgemm(-1.0, self.e.T, self.u[i:i + rows].T, trans_a=1).T
+            block.flat[i::n + 1] += 1.0  # the entries (j, i + j) of I
+            peaks.append(_max_abs(block))
+        return float(np.max(peaks)) if peaks else 0.0
 
 
 def lstsq_gamma(w_next: np.ndarray, w_prev: np.ndarray) -> float | None:

@@ -215,7 +215,7 @@ def _boxed(name, residual, jacobian, lo, hi) -> NonlinearProblem:
     return NonlinearProblem(name, residual, jacobian, start=lo.copy(), bounds=(lo, hi))
 
 
-def _himmelbau() -> NonlinearProblem:
+def _himmelbau(name: str) -> NonlinearProblem:
     # stationarity system of Himmelblau's function; box [-5,5]^2
     def residual(x):
         x1, x2 = x
@@ -239,10 +239,10 @@ def _himmelbau() -> NonlinearProblem:
 
     lo = np.array([-5.0, -5.0])
     hi = np.array([5.0, 5.0])
-    return _boxed("Himmelbau", residual, jacobian, lo, hi)
+    return _boxed(name, residual, jacobian, lo, hi)
 
 
-def _eq_combustion() -> NonlinearProblem:
+def _eq_combustion(name: str) -> NonlinearProblem:
     # propane-in-air equilibrium combustion system (reduced form), n = 5
     R = 10.0
     R5 = 0.193
@@ -300,10 +300,10 @@ def _eq_combustion() -> NonlinearProblem:
 
     lo = np.full(5, 1e-4)
     hi = np.full(5, 100.0)
-    return _boxed("Eq-Combustion", residual, jacobian, lo, hi)
+    return _boxed(name, residual, jacobian, lo, hi)
 
 
-def _bullard_biegler() -> NonlinearProblem:
+def _bullard_biegler(name: str) -> NonlinearProblem:
     def residual(x):
         x1, x2 = x
         return np.array(
@@ -318,10 +318,10 @@ def _bullard_biegler() -> NonlinearProblem:
 
     lo = np.array([5.49e-6, 2.196e-3])
     hi = np.array([4.553, 18.21])
-    return _boxed("Bullard-Biegler", residual, jacobian, lo, hi)
+    return _boxed(name, residual, jacobian, lo, hi)
 
 
-def _ferraris_tronconi() -> NonlinearProblem:
+def _ferraris_tronconi(name: str) -> NonlinearProblem:
     a = 1.0 - 0.25 / np.pi
 
     def residual(x):
@@ -347,10 +347,10 @@ def _ferraris_tronconi() -> NonlinearProblem:
 
     lo = np.array([0.25, 1.5])
     hi = np.array([1.0, 2.0 * np.pi])
-    return _boxed("Ferraris-Tronconi", residual, jacobian, lo, hi)
+    return _boxed(name, residual, jacobian, lo, hi)
 
 
-def _browns_almost_linear() -> NonlinearProblem:
+def _browns_almost_linear(name: str) -> NonlinearProblem:
     n = 5
 
     def residual(x):
@@ -369,10 +369,10 @@ def _browns_almost_linear() -> NonlinearProblem:
 
     lo = np.full(n, -2.0)
     hi = np.full(n, 2.0)
-    return _boxed("Brown's Al. Lin.", residual, jacobian, lo, hi)
+    return _boxed(name, residual, jacobian, lo, hi)
 
 
-def _robot_kinematics() -> NonlinearProblem:
+def _robot_kinematics(name: str) -> NonlinearProblem:
     def residual(x):
         x1, x2, x3, x4, x5, x6, x7, x8 = x
         return np.array(
@@ -411,9 +411,10 @@ def _robot_kinematics() -> NonlinearProblem:
 
     lo = np.full(8, -1.0)
     hi = np.full(8, 1.0)
-    return _boxed("Robot Kin. Sys.", residual, jacobian, lo, hi)
+    return _boxed(name, residual, jacobian, lo, hi)
 
 
+# each builder is called with its key, the only place its name is written
 _TRANSCRIBED = {
     "Himmelbau": _himmelbau,
     "Eq-Combustion": _eq_combustion,
@@ -443,7 +444,7 @@ def registry_entry(name: str) -> NonlinearProblem:
     """Build one registry problem by name; raises ProblemUnavailable for
     entries pending transcription and KeyError for unknown names."""
     if name in _TRANSCRIBED:
-        return _TRANSCRIBED[name]()
+        return _TRANSCRIBED[name](name)
     if name in _UNTRANSCRIBED:
         raise ProblemUnavailable(f"{name}: source definition not transcribed")
     raise KeyError(f"unknown registry problem {name!r}")
@@ -451,4 +452,4 @@ def registry_entry(name: str) -> NonlinearProblem:
 
 def registry() -> list[NonlinearProblem]:
     """All transcribed small-scale benchmark problems."""
-    return [build() for build in _TRANSCRIBED.values()]
+    return [build(name) for name, build in _TRANSCRIBED.items()]

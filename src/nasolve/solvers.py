@@ -332,7 +332,6 @@ def _projected_lm_step(p: NonlinearProblem, project):
 
         rec = IterationRecord(
             k=k, res_norm=res, step_norm=float(np.linalg.norm(x_new - x)),
-            gamma_raw=0.0, lam=1.0, gamma_used=0.0, theta=1.0,
             step_kind=kind, ls_evals=ls_evals,
         )
         return rec, x_new, f_new, None

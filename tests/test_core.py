@@ -178,9 +178,11 @@ def test_public_names_resolve_and_none_is_a_module():
     assert {"SingularMatrix", "ProblemUnavailable", "solve"} <= set(nasolve.__all__)
 
 
-def test_readme_python_block_runs(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+# PAPER.md carries a copy of the README's quick tour; both must run
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_readme_python_block_runs(doc, capsys):
+    text = (Path(__file__).resolve().parents[1] / doc).read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
     assert len(blocks) == 1
     exec(blocks[0], {})
     plain, fast = capsys.readouterr().out.splitlines()[0].split(" -> ")

@@ -1,16 +1,20 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nasolve.core import SolverConfig
+from nasolve.core import IterationRecord, SolveOutcome, SolverConfig
 from nasolve.harness import (
+    HISTORY_COLUMNS,
     ExperimentSpec,
     compare_table,
     emit_report,
+    history_records,
     run_experiment,
     run_registry,
     summary_records,
@@ -396,3 +400,33 @@ def test_write_summary_combines_reports(tmp_path):
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["problem"] for r in rows] == ["Himmelbau", "Dayton10"]
+
+
+class TestHistoryLayout:
+    """The history columns and rows come from IterationRecord's fields."""
+
+    def test_columns_match_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        documented = re.search(r"iteration-history file per method\n\(columns `(.*?)`\)",
+                               readme, flags=re.S).group(1)
+        assert HISTORY_COLUMNS == tuple(re.split(r",\s+", documented))
+
+    def test_record_is_keyword_only_with_no_extrapolation_defaults(self):
+        with pytest.raises(TypeError):
+            IterationRecord(0, 1.0, 0.5, step_kind="lm")
+        rec = IterationRecord(k=0, res_norm=1.0, step_norm=0.5, step_kind="lm")
+        assert (rec.gamma_raw, rec.lam, rec.gamma_used, rec.theta, rec.ls_evals) == (
+            0.0, 1.0, 0.0, 1.0, 0)
+
+    def test_row_formats_each_field_in_order(self):
+        rec = IterationRecord(k=12, res_norm=0.1, step_norm=2.0, gamma_raw=-1 / 3,
+                              lam=0.5, gamma_used=-1 / 6, theta=0.25,
+                              step_kind="anderson_linesearch", ls_evals=3)
+        outcome = SolveOutcome(final_res=0.0, x=np.zeros(1), status="converged", f_evals=5,
+                               trace=[rec])
+        assert history_records(outcome) == [{
+            "k": "12", "res_norm": "0.10000000000000001", "step_norm": "2",
+            "gamma_raw": "-0.33333333333333331", "lambda": "0.5",
+            "gamma_used": "-0.16666666666666666", "theta": "0.25",
+            "step_kind": "anderson_linesearch", "ls_evals": "3",
+        }]

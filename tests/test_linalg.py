@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,6 +50,16 @@ def _reference_dense_solve(a, b):
         if pivots.min() <= threshold:
             raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _rel_err(x, ref):
@@ -142,17 +153,9 @@ class TestDenseMaxAbs:
 
     def test_memory_budget(self):
         # no n x n |A| temporary
-        import tracemalloc
-
         n = 1000
         jac = DenseJacobian(np.random.default_rng(3).standard_normal((n, n)))
-        tracemalloc.start()
-        try:
-            jac.max_abs()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.01 * n * n * 8
+        assert _peak_bytes(jac.max_abs) <= 0.01 * n * n * 8
 
 
 class TestStructuredSolve:
@@ -247,6 +250,19 @@ class TestBandedAgainstDense:
         assert np.isnan(a.max_abs())
         assert np.isnan(DenseJacobian(a.to_dense()).max_abs())
 
+    def test_to_dense_matches_two_diagonal_sum(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 57):
+            banded = UpperBidiagonalJacobian(*_random_band(rng, n))
+            ref = np.diag(banded.diag) + np.diag(banded.superdiag, 1)
+            np.testing.assert_array_equal(banded.to_dense().view(np.uint64), ref.view(np.uint64))
+
+    def test_to_dense_memory_budget(self):
+        # one n x n array, not a second for the superdiagonal
+        n = 2000
+        banded = UpperBidiagonalJacobian(*_random_band(np.random.default_rng(8), n))
+        assert _peak_bytes(banded.to_dense) < 1.5 * n * n * 8
+
 
 class TestLowRankAgainstDense:
     """IdentityMinusLowRankJacobian against DenseJacobian(J.to_dense()).
@@ -276,6 +292,28 @@ class TestLowRankAgainstDense:
         for jac in (low, DenseJacobian(low.to_dense())):
             with pytest.raises(SingularMatrix):
                 jac.solve(np.ones(3))
+
+    # the row blocks and the full product may round an entry differently
+    # (BLAS kernels split a dot product by shape), so to a few ulp
+    @pytest.mark.parametrize("n", [1, 300, 2001])
+    def test_max_abs_matches_dense(self, n):
+        p = h_equation(HEquationSpec(n=n, omega=1.0))
+        for x in (p.start, 1.0 + np.random.default_rng(400 + n).random(n)):
+            jac = p.jacobian(x)
+            dense = DenseJacobian(jac.to_dense()).max_abs()
+            assert abs(jac.max_abs() - dense) <= 4 * EPS * dense
+
+    def test_nan_factor_entry_gives_nan_max_abs(self):
+        # the NaN row lies in the second row block, beside larger finite entries
+        u = np.full((600, 2), -1.0)
+        u[400, 1] = np.nan
+        assert np.isnan(IdentityMinusLowRankJacobian(u, np.ones((600, 2))).max_abs())
+
+    def test_max_abs_memory_budget(self):
+        n = 2000
+        p = h_equation(HEquationSpec(n=n, omega=1.0))
+        jac = p.jacobian(p.start)
+        assert _peak_bytes(jac.max_abs) < 0.5 * n * n * 8
 
     def test_factor_shapes_must_agree(self):
         with pytest.raises(ValueError):

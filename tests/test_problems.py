@@ -298,6 +298,12 @@ class TestRegistry:
     def test_dimensions_within_paper_range(self):
         assert max(p.dim for p in registry()) == 8
 
+    def test_entries_carry_their_registry_name(self):
+        problems = registry()
+        assert [p.name for p in problems] == list(REGISTRY_NAMES[: len(problems)])
+        for p in problems:
+            assert registry_entry(p.name).name == p.name
+
     def test_untranscribed_entries_raise(self):
         for name in ("Decker1", "Dayton10", "Hueso6"):
             with pytest.raises(ProblemUnavailable):
