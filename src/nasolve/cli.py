@@ -22,8 +22,6 @@ from .harness import (
 from .problems import REGISTRY_NAMES
 from .solvers import MethodId
 
-ALL_METHODS = tuple(MethodId)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -57,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    methods = tuple(MethodId(m) for m in args.method) if args.method else ALL_METHODS
+    methods = tuple(args.method or MethodId)
     names = REGISTRY_NAMES if args.problem == "registry" else (args.problem,)
     params = {"n": args.n, "omega": args.omega, "k": args.k}
     try:

@@ -208,12 +208,8 @@ def emit_report(report: RunReport, fmt: str = "csv", out_dir="results") -> list[
     of a deterministic pipeline produce bit-identical files.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     safe_problem = report.problem.replace("/", "_").replace(" ", "_")
-    paths = []
-    summary_path = out / f"{safe_problem}_summary.{fmt}"
-    _write_rows(summary_path, SUMMARY_COLUMNS, summary_records([report]), fmt)
-    paths.append(summary_path)
+    paths = [write_summary([report], out / f"{safe_problem}_summary.{fmt}", fmt)]
     for row in report.rows:
         if row.outcome is None:
             continue

@@ -128,17 +128,29 @@ def _backtrack(residual, trial_at, bound, step0: float, shrink: float, trials: i
     return best[0], best[1], trials
 
 
-def _stop_status(res: float, tol: float) -> str | None:
+def _armijo(residual, x, d, g0: float, slope: float, step0: float, shrink: float, trials: int):
+    """_backtrack along x + s d under the Armijo bound g0 + LS_DAMPING s slope,
+    where g0 = g(x) and slope = g'(x)^T d."""
+    return _backtrack(
+        residual,
+        lambda s: x + s * d,
+        lambda s, trial: g0 + LS_DAMPING * s * slope,
+        step0, shrink, trials,
+    )
+
+
+def _stop_status(res: float, tol: float, at_cap: bool) -> str | None:
     if res < tol:
         return "converged"
     if not math.isfinite(res):
         return "nonfinite"
-    return None
+    return "max_iters" if at_cap else None
 
 
 def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) -> SolveOutcome:
     """The iteration every method shares, from ``start`` until a status in
-    core.STATUSES applies.
+    core.STATUSES applies: pass k = 0..max_iters takes ||f(x_k)|| and asks
+    _stop_status, the one stop test, which names the cap at k == max_iters.
 
     ``step(k, x, fx, res, residual)`` returns the IterationRecord of step k,
     the accepted iterate with its residual, and the Newton update it solved
@@ -156,30 +168,25 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
 
     x = start.copy()
     fx = residual(x)
-    res = float(np.linalg.norm(fx))
     trace: list[IterationRecord] = []
     history = [x.copy()] if keep_history else None
     truth = p.known_root is not None and p.null_basis is not None
     errors, record = error_recorder(p, x) if truth else (None, None)
-    status = _stop_status(res, cfg.tol)
-    if status is None:
-        status = "max_iters"
-        for k in range(cfg.max_iters):
-            try:
-                rec, x, fx, w = step(k, x, fx, res, residual)
-            except SingularMatrix:
-                status = "singular_jacobian"
-                break
-            trace.append(rec)
-            res = float(np.linalg.norm(fx))
-            if history is not None:
-                history.append(x.copy())
-            if record is not None:
-                record(x, w)
-            stop = _stop_status(res, cfg.tol)
-            if stop is not None:
-                status = stop
-                break
+    for k in range(cfg.max_iters + 1):
+        res = float(np.linalg.norm(fx))
+        status = _stop_status(res, cfg.tol, at_cap=k == cfg.max_iters)
+        if status is not None:
+            break
+        try:
+            rec, x, fx, w = step(k, x, fx, res, residual)
+        except SingularMatrix:
+            status = "singular_jacobian"
+            break
+        trace.append(rec)
+        if history is not None:
+            history.append(x.copy())
+        if record is not None:
+            record(x, w)
     return SolveOutcome(
         final_res=res,
         x=x,
@@ -238,12 +245,7 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, method: Method
             d = w - gamma_used * (x - x_prev + w - w_prev) if kind == "anderson" else w
             g0 = float(fx @ fx)
             slope = 2.0 * float(fx @ jac.matvec(d))  # g'(x)^T d
-            x_new, f_new, ls_evals = _backtrack(
-                residual,
-                lambda s: x + s * d,
-                lambda s, trial: g0 + LS_DAMPING * s * slope,
-                LS_STEP0, LS_SHRINK, 31,
-            )
+            x_new, f_new, ls_evals = _armijo(residual, x, d, g0, slope, LS_STEP0, LS_SHRINK, 31)
             if kind == "anderson":
                 kind = "anderson_linesearch"
 
@@ -315,11 +317,8 @@ def _projected_lm_step(p: NonlinearProblem, project):
                 slope = float(grad @ direction)
                 if slope < 0.0:
                     kind = "lm_linesearch"
-                    x_new, f_new, ls_evals = _backtrack(
-                        residual,
-                        lambda s: x + s * direction,
-                        lambda s, trial: g0 + LS_DAMPING * s * slope,
-                        0.5, 0.5, 30,
+                    x_new, f_new, ls_evals = _armijo(
+                        residual, x, direction, g0, slope, 0.5, 0.5, 30
                     )
         if kind == "projected_gradient":
             # backtracked step along the projected steepest-descent arc

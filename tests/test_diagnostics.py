@@ -7,6 +7,7 @@ from nasolve.core import IterationRecord, NonlinearProblem, SolveOutcome, Solver
 from nasolve.diagnostics import (
     MissingGroundTruth,
     PairKind,
+    PairLabel,
     ZeroStep,
     diagnose_run,
     error_recorder,
@@ -351,6 +352,43 @@ class TestDiagnoseRun:
         report = diagnose_run(p, out)
         assert any(s.pair is not None for s in report.steps)
         assert calls == {"residual": 0, "jacobian": 0}
+
+
+class TestRecordedGamma:
+    """The gamma of the ground-truth record, which the pair labels read,
+    against the gamma_raw of the trace: they differ on Newton steps."""
+
+    def test_newton_record_holds_lstsq_gamma_where_trace_holds_zero(self):
+        p = multipoly(MultipolySpec(n=50, k=3))
+        out = solve(p, MethodId.newton, SolverConfig())
+        # ws[k] is the Newton update step k solved for at x_k
+        x, ws = p.start, []
+        for _ in range(out.iterations):
+            ws.append(p.jacobian(x).solve(-p.residual(x)))
+            x = x + ws[-1]
+        assert x.tobytes() == out.x.tobytes() and out.iterations >= 3
+        assert all(rec.gamma_raw == 0.0 for rec in out.trace)
+        assert out.errors[1].gamma is None
+        for k in range(1, out.iterations):
+            gamma = lstsq_gamma(ws[k], ws[k - 1])
+            assert gamma != 0.0 and out.errors[k + 1].gamma == gamma, k
+
+    @pytest.mark.parametrize("method", [MethodId.n_anderson, MethodId.gamma_n_anderson])
+    def test_degenerate_step_records_none_and_leaves_the_pair_weak(self, method):
+        # f = 1 with J = I: every Newton update is -1, so gamma is undefined
+        # from k = 1 on; from null coordinate 3 the pair at k = 1 is an N-pair
+        p = NonlinearProblem(
+            name="constant", residual=lambda x: np.ones(1),
+            jacobian=lambda x: DenseJacobian(np.eye(1)),
+            start=np.array([3.0]), known_root=np.zeros(1), null_basis=np.eye(1),
+        )
+        out = solve(p, method, SolverConfig(max_iters=2))
+        assert (out.trace[1].step_kind, out.trace[1].gamma_raw) == ("newton", 0.0)
+        assert out.errors[2].gamma is None
+        assert diagnose_run(p, out).steps[1].pair == PairLabel(PairKind.N_pair, strong=False)
+        # a record holding the trace's 0.0 would make the same pair strong
+        zero = replace(out, errors=out.errors[:2] + [out.errors[2]._replace(gamma=0.0)])
+        assert diagnose_run(p, zero).steps[1].pair == PairLabel(PairKind.N_pair, strong=True)
 
 
 # The diagnosis as it was computed before solves recorded their errors: from

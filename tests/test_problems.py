@@ -135,6 +135,22 @@ class TestHEquation:
         kernel = mu[:, None] / (mu[:, None] + mu[None, :])
         assert np.max(np.abs(a @ e.T - kernel) / kernel) <= 2e-15
 
+    def test_kernel_factors_match_sampled_kernel_entries_at_ten_thousand(self):
+        # the dense check above at n = 10^4 would form 800 MB arrays, so 10^5
+        # random entries are formed in chunks: 2 x 10^4 gathered rows of
+        # r ~ 200 doubles (32 MB) at a time
+        n, samples, chunk = 10_000, 100_000, 10_000
+        a, e = _kernel_factors(n)
+        mu = (np.arange(1, n + 1) - 0.5) / n
+        i, j = np.random.default_rng(n).integers(0, n, size=(2, samples))
+        worst = 0.0
+        for lo in range(0, samples, chunk):
+            rows, cols = i[lo:lo + chunk], j[lo:lo + chunk]
+            entries = np.einsum("sq,sq->s", a[rows], e[cols])
+            kernel = mu[rows] / (mu[rows] + mu[cols])
+            worst = max(worst, float(np.max(np.abs(entries - kernel) / kernel)))
+        assert worst <= 2e-15
+
     @pytest.mark.parametrize("n", [1000, 2500])
     def test_newton_step_memory_budget(self, n):
         # the kernel factors are built before tracing starts; one Jacobian

@@ -9,7 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nasolve.core import STATUSES, STEP_KINDS, NonlinearProblem, SolverConfig
-from nasolve.linalg import DenseJacobian, IdentityMinusLowRankJacobian, SingularMatrix
+from nasolve.linalg import (
+    DenseJacobian,
+    IdentityMinusLowRankJacobian,
+    SingularMatrix,
+    UpperBidiagonalJacobian,
+)
 from nasolve.problems import (
     HEquationSpec,
     MultipolySpec,
@@ -20,11 +25,10 @@ from nasolve.problems import (
 )
 from nasolve.solvers import (
     LINESEARCH_METHODS,
-    LS_DAMPING,
     LS_SHRINK,
     SAFEGUARD_METHODS,
     MethodId,
-    _backtrack,
+    _armijo,
     anderson_combine,
     gamma_safeguard,
     solve,
@@ -306,15 +310,12 @@ class TestNewtonAndersonSolve:
 
 
 def armijo_search(p, x, d, step0, trials=31):
-    """The Newton-Anderson search: _backtrack under the Armijo bound
-    g(x) + damping * s * g'(x)^T d with the default shrink factor."""
+    """The Newton-Anderson search: _armijo from g(x) with slope g'(x)^T d
+    and the default shrink factor."""
     fx = p.residual(x)
     g0 = float(fx @ fx)
     slope = 2.0 * float(fx @ p.jacobian(x).matvec(d))
-    x_new, _, evals = _backtrack(
-        p.residual, lambda s: x + s * d, lambda s, trial: g0 + LS_DAMPING * s * slope,
-        step0, LS_SHRINK, trials,
-    )
+    x_new, _, evals = _armijo(p.residual, x, d, g0, slope, step0, LS_SHRINK, trials)
     return x_new, evals
 
 
@@ -491,6 +492,69 @@ class TestProjectedLm:
         )
         out = solve(p, MethodId.proj_lm, SolverConfig())
         assert out.converged and out.iterations == 0 and out.trace == []
+
+
+def _boxed(p, lo, hi):
+    return replace(p, bounds=(np.full(p.dim, lo), np.full(p.dim, hi)))
+
+
+def _rank_one(jac):
+    """A constant rank-one Jacobian with entries near 1e6 and f = ones(2): at
+    the first damping rung J^T J + mu I is not numerically positive definite."""
+    return NonlinearProblem(name="rank_one", residual=lambda x: np.ones(2),
+                            jacobian=lambda x: jac, start=np.zeros(2))
+
+
+# proj_lm instances per Jacobian class: (problem, its Jacobian class, max_iters,
+# step kinds, whether the first step's first Cholesky rung fails and its second
+# succeeds).  A box that excludes the root forces the line-search and
+# projected-gradient branches.
+LM_BRANCH_CASES = {
+    "bidiagonal_box": (
+        _boxed(multipoly(MultipolySpec(n=20, k=3)), 0.25, 1.0), UpperBidiagonalJacobian, 50,
+        {"lm": 1, "lm_linesearch": 24, "projected_gradient": 25}, False),
+    "low_rank_box": (
+        _boxed(h_equation(HEquationSpec(n=20, omega=1.0)), 1.0, 1.5),
+        IdentityMinusLowRankJacobian, 50,
+        {"lm": 1, "lm_linesearch": 2, "projected_gradient": 47}, False),
+    "dense_rank_one": (
+        _rank_one(DenseJacobian(np.full((2, 2), 1e6))), DenseJacobian, 1,
+        {"lm_linesearch": 1}, True),
+    "bidiagonal_rank_one": (
+        _rank_one(UpperBidiagonalJacobian(np.array([1e6, 0.0]), np.array([1e6]))),
+        UpperBidiagonalJacobian, 1, {"lm_linesearch": 1}, True),
+    # J = I - 1 e^T with e^T 1 = 1, exactly singular
+    "low_rank_rank_one": (
+        _rank_one(IdentityMinusLowRankJacobian(np.ones((2, 1)), np.array([[1e6 + 1.0], [-1e6]]))),
+        IdentityMinusLowRankJacobian, 1, {"lm_linesearch": 1}, True),
+}
+
+
+@pytest.mark.parametrize("case", LM_BRANCH_CASES)
+def test_proj_lm_class_matches_dense_reference(case, monkeypatch):
+    # the reference solve sees each Jacobian as DenseJacobian(to_dense())
+    p, jac_class, max_iters, kinds, rung_retry = LM_BRANCH_CASES[case]
+    assert type(p.jacobian(p.start)) is jac_class
+    infos = []
+    dpotrf = scipy.linalg.lapack.dpotrf
+
+    def recording_dpotrf(a, **kwargs):
+        c, info = dpotrf(a, **kwargs)
+        infos.append(info)
+        return c, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recording_dpotrf)
+    cfg = SolverConfig(max_iters=max_iters)
+    out = solve(p, MethodId.proj_lm, cfg)
+    class_infos = infos[:]
+    dense = replace(p, jacobian=lambda x: DenseJacobian(p.jacobian(x).to_dense()))
+    ref = solve(dense, MethodId.proj_lm, cfg)
+    assert (out.status, out.iterations, out.f_evals) == (ref.status, ref.iterations, ref.f_evals)
+    assert [rec.step_kind for rec in out.trace] == [rec.step_kind for rec in ref.trace]
+    assert out.x.tobytes() == ref.x.tobytes()
+    assert infos[len(class_infos):] == class_infos
+    assert Counter(rec.step_kind for rec in out.trace) == kinds
+    assert (class_infos[0] > 0 and class_infos[1] == 0) == rung_retry
 
 
 class TestCholeskyAgainstScipyWrappers:
