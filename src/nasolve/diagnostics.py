@@ -15,12 +15,13 @@ from enum import Enum
 
 import numpy as np
 
-from .core import IterateError, NonlinearProblem, SolveOutcome
+from .core import IterateError, IterationRecord, NonlinearProblem, SolveOutcome
 from .linalg import lstsq_gamma
 
 COMPAT_C = 2.0  # step k is compatible if ||P_N e_{k+1}|| <= COMPAT_C * theta_{k+1} * ||w_{k+1}||
 RHO_DOM = 3.0  # a term dominates another when it is larger by this factor
 NOISE_FLOOR = 1e-13  # relative to 1 + ||x*||; smaller null components stay out of the rate fit
+ANDERSON_KINDS = ("anderson", "anderson_linesearch")  # step kinds whose gamma_raw is lstsq_gamma
 
 
 class MissingGroundTruth(Exception):
@@ -167,18 +168,25 @@ def diagnose_run(p: NonlinearProblem, outcome: SolveOutcome) -> DiagnosticsRepor
 
 
 def error_recorder(p: NonlinearProblem, x0: np.ndarray):
-    """(errors, record) for a solve of p from x0: ``record(x, w)`` appends to
-    ``errors`` the IterateError of iterate x, which the Newton update w led to
-    (None if none did), and keeps a reference to w, not a copy, for the next gamma."""
+    """(errors, record) for a solve of p from x0: ``record(x, w, rec)`` appends
+    to ``errors`` the IterateError of iterate x, which the Newton update w led
+    to (None if none did) in the step ``rec`` records, and keeps a reference to
+    w, not a copy, for the next gamma.  An Anderson step's gamma_raw is that
+    gamma already; other steps, and a call without ``rec``, recompute it."""
     root, basis, errors, last = p.known_root, p.null_basis, [], [None]
 
-    def record(x: np.ndarray, w: np.ndarray | None) -> None:
+    def record(x: np.ndarray, w: np.ndarray | None, rec: IterationRecord | None = None) -> None:
         e = x - root
         c = basis.T @ e
         # e -= P_N e = B c; np.dot: for a one-column basis ``basis @ c`` takes
         # about six times as long at n = 10^5, same bits
         e -= np.dot(basis, c)
-        gamma = None if w is None or last[0] is None else lstsq_gamma(w, last[0])
+        if w is None or last[0] is None:
+            gamma = None
+        elif rec is not None and rec.step_kind in ANDERSON_KINDS:
+            gamma = rec.gamma_raw  # lstsq_gamma(w, last[0]), as the step took it
+        else:
+            gamma = lstsq_gamma(w, last[0])
         d = None if w is None else basis.T @ w
         errors.append(IterateError(c, float(np.linalg.norm(e)), d, gamma))
         last[0] = w

@@ -11,6 +11,7 @@ a fabricated system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,22 +51,49 @@ class MultipolySpec:
             raise ValueError(f"need k >= 2, got {self.k}")
 
 
+KERNEL_TAU = 0.2  # the Taylor block is at most tau against 1/x >= 1/2: its rounding stays ulps
+KERNEL_DEGREE = 13  # the first dropped Taylor term, tau^15 2^14 / 15!, is below 1e-18 on x <= 2
+
+
 def _kernel_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n x r factors A, E with A E^T = mu_i / (mu_i + mu_j) at the midpoint nodes.
 
-    The trapezoid rule with step h on 1/a = int exp(s - a e^s) ds over
-    s in [ln(eps/2), ln(60 n)] (Braess & Hackbusch's exponential sum for 1/a)
-    gives nodes t_q = e^(s_q), E_jq = exp(-t_q mu_j) and A_iq = mu_i h t_q E_iq.
-    At h = 1/4 that is about 200 terms, growing like ln n, and each entry is
-    within 2e-15 of the kernel, relative.
+    The trapezoid rule with step h on 1/x = int exp(s - x e^s) ds over
+    s in [ln(eps/2), ln(60 n)] (Braess & Hackbusch's exponential sum for 1/x)
+    gives nodes t_q = e^(s_q) and 1/x ~ sum_q h t_q e^(-x t_q).  The nodes with
+    t_q > KERNEL_TAU stay as columns E_jq = exp(-t_q mu_j), A_iq = mu_i h t_q E_iq.
+    The others, where e^(-x t_q) is nearly flat on x = mu_i + mu_j <= 2, are
+    replaced by the degree-KERNEL_DEGREE Taylor polynomial of their own sum,
+    sum_m c_m x^m with c_m = (-1)^m / m! sum_q h t_q^(m+1); expanding x^m
+    binomially makes it V P V^T with V_jl = mu_j^l and
+    P_ll' = c_(l+l') C(l+l', l), so E gains the columns V and A gains
+    mu_i (V P).  That is r = 68 at n = 2000 (14 polynomial columns in place of
+    141 nodes), growing like ln n, and each entry is within 2e-15 of the
+    kernel, relative.
     """
     mu = (np.arange(1, n + 1) - 0.5) / n
     # h = 0.45 leaves a kernel error of 5.6e-9, and then Newton at omega = 1
     # no longer converges to the tolerance; the tests pin the error
     h = 0.25
     t = np.exp(np.arange(np.log(EPS / 2.0), np.log(60.0 * n) + h, h))
-    e = np.exp(np.multiply.outer(-mu, t))
-    return mu[:, None] * (h * t) * e, e
+    small, t = t[t <= KERNEL_TAU], t[t > KERNEL_TAU]
+    deg = KERNEL_DEGREE
+    c = [(-1) ** k / math.factorial(k) * float(np.sum(h * small ** (k + 1)))
+         for k in range(deg + 1)]
+    poly = np.zeros((deg + 1, deg + 1))
+    for k in range(deg + 1):
+        for l in range(k + 1):
+            poly[l, k - l] = c[k] * math.comb(k, l)
+    # filled in place: at n = 10^5 an hstack would hold a third n x r array
+    q = t.size
+    a, e = np.empty((n, q + deg + 1)), np.empty((n, q + deg + 1))
+    np.multiply.outer(-mu, t, out=e[:, :q])
+    np.exp(e[:, :q], out=e[:, :q])
+    np.power(mu[:, None], np.arange(deg + 1), out=e[:, q:])
+    np.multiply(e[:, :q], h * t, out=a[:, :q])
+    np.matmul(e[:, q:], poly, out=a[:, q:])
+    a *= mu[:, None]
+    return a, e
 
 
 def h_equation(spec: HEquationSpec) -> NonlinearProblem:
@@ -74,8 +102,10 @@ def h_equation(spec: HEquationSpec) -> NonlinearProblem:
     Midpoint nodes mu_i = (i - 1/2)/n; the residual is
     F_i(x) = x_i - (1 - (omega/2n) sum_j mu_i x_j / (mu_i + mu_j))^(-1).
     The node kernel mu_i / (mu_i + mu_j) is held as its exponential-sum
-    factors A E^T (``_kernel_factors``), so a problem holds 2 n r doubles with
-    r about 200, the residual costs O(n r), and the Jacobian
+    factors A E^T (``_kernel_factors``: exponential-sum columns for the
+    trapezoid nodes t_q > KERNEL_TAU, one Taylor block for the rest), so a
+    problem holds 2 n r doubles with r = 68 at n = 2000, growing like ln n,
+    the residual costs O(n r), and the Jacobian
     I - diag((omega/2n) (1 - s)^(-2)) A E^T is an
     ``IdentityMinusLowRankJacobian``, solved through an r x r matrix.  The
     recommended start is the vector of ones.  For omega = 1 the Jacobian at

@@ -186,7 +186,7 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
         if history is not None:
             history.append(x.copy())
         if record is not None:
-            record(x, w)
+            record(x, w, rec)
     return SolveOutcome(
         final_res=res,
         x=x,

@@ -21,6 +21,7 @@ from nasolve.problems import (
     MultipolySpec,
     h_equation,
     multipoly,
+    registry_entry,
     with_ground_truth,
 )
 from nasolve.solvers import MethodId, solve
@@ -389,6 +390,22 @@ class TestRecordedGamma:
         # a record holding the trace's 0.0 would make the same pair strong
         zero = replace(out, errors=out.errors[:2] + [out.errors[2]._replace(gamma=0.0)])
         assert diagnose_run(p, zero).steps[1].pair == PairLabel(PairKind.N_pair, strong=True)
+
+    def test_record_takes_gamma_raw_on_anderson_steps_and_recomputes_elsewhere(self):
+        # Bullard-Biegler under gamma_armijo_n_anderson takes anderson,
+        # anderson_linesearch and safeguard-rejected newton steps; a made-up
+        # root and null direction switch the error record on
+        p = registry_entry("Bullard-Biegler")
+        p = replace(p, known_root=np.zeros(p.dim), null_basis=np.eye(p.dim)[:, :1])
+        out = solve(p, MethodId.gamma_armijo_n_anderson, replace(SolverConfig(), r=0.5),
+                    keep_history=True)
+        ws = [p.jacobian(x).solve(-p.residual(x)) for x in out.iterate_history[:-1]]
+        kinds = {rec.step_kind for rec in out.trace}
+        assert kinds == {"newton", "anderson", "anderson_linesearch"}
+        for k in range(1, out.iterations):
+            assert out.errors[k + 1].gamma == lstsq_gamma(ws[k], ws[k - 1]), k
+            if out.trace[k].step_kind != "newton":
+                assert out.errors[k + 1].gamma == out.trace[k].gamma_raw, k
 
 
 # The diagnosis as it was computed before solves recorded their errors: from

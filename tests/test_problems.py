@@ -47,6 +47,26 @@ def _reference_h_equation(n, omega, x, chunk=512):
     return x - 1.0 / (1.0 - s), jm
 
 
+def _worst_sampled_kernel_error(n):
+    """Largest relative error of A E^T over 10^5 random kernel entries at n.
+
+    The dense check at n = 10^4 would form 800 MB arrays, so the entries are
+    formed in chunks: 2 x 10^4 gathered rows of r ~ 80 doubles (13 MB) at a
+    time.
+    """
+    samples, chunk = 100_000, 10_000
+    a, e = _kernel_factors(n)
+    mu = (np.arange(1, n + 1) - 0.5) / n
+    i, j = np.random.default_rng(n).integers(0, n, size=(2, samples))
+    worst = 0.0
+    for lo in range(0, samples, chunk):
+        rows, cols = i[lo:lo + chunk], j[lo:lo + chunk]
+        entries = np.einsum("sq,sq->s", a[rows], e[cols])
+        kernel = mu[rows] / (mu[rows] + mu[cols])
+        worst = max(worst, float(np.max(np.abs(entries - kernel) / kernel)))
+    return worst
+
+
 class TestHEquation:
     def test_omega_zero_is_affine_shift(self):
         from dataclasses import replace
@@ -135,27 +155,25 @@ class TestHEquation:
         kernel = mu[:, None] / (mu[:, None] + mu[None, :])
         assert np.max(np.abs(a @ e.T - kernel) / kernel) <= 2e-15
 
-    def test_kernel_factors_match_sampled_kernel_entries_at_ten_thousand(self):
-        # the dense check above at n = 10^4 would form 800 MB arrays, so 10^5
-        # random entries are formed in chunks: 2 x 10^4 gathered rows of
-        # r ~ 200 doubles (32 MB) at a time
-        n, samples, chunk = 10_000, 100_000, 10_000
+    @pytest.mark.parametrize("n, rank", [(500, 63), (2000, 68), (10_000, 75)])
+    def test_kernel_factor_rank(self, n, rank):
+        # 14 Taylor columns stand in for the 141 trapezoid nodes t_q <= 0.2;
+        # a return to the full exponential sum (r = 190 / 195 / 202) fails here
         a, e = _kernel_factors(n)
-        mu = (np.arange(1, n + 1) - 0.5) / n
-        i, j = np.random.default_rng(n).integers(0, n, size=(2, samples))
-        worst = 0.0
-        for lo in range(0, samples, chunk):
-            rows, cols = i[lo:lo + chunk], j[lo:lo + chunk]
-            entries = np.einsum("sq,sq->s", a[rows], e[cols])
-            kernel = mu[rows] / (mu[rows] + mu[cols])
-            worst = max(worst, float(np.max(np.abs(entries - kernel) / kernel)))
-        assert worst <= 2e-15
+        assert a.shape == e.shape == (n, rank)
+
+    def test_kernel_factors_match_sampled_kernel_entries_at_ten_thousand(self):
+        assert _worst_sampled_kernel_error(10_000) <= 2e-15
+
+    def test_kernel_factors_match_sampled_kernel_entries_at_hundred_thousand(self):
+        # the two factors take 2 x 10^5 x 84 doubles, 134 MB
+        assert _worst_sampled_kernel_error(100_000) <= 2e-15
 
     @pytest.mark.parametrize("n", [1000, 2500])
     def test_newton_step_memory_budget(self, n):
         # the kernel factors are built before tracing starts; one Jacobian
         # build plus Woodbury solve allocates n x r and r x r arrays (r about
-        # 200), which stay below half of one n x n array
+        # 70), which stay below half of one n x n array
         import tracemalloc
 
         p = h_equation(HEquationSpec(n=n, omega=1.0))
