@@ -6,20 +6,52 @@ identity minus a rank-r product held as two n x r factors.  Each class is the
 only home of its format, its solve included; solvers only rely on the common
 ``matvec``/``solve`` interface.
 
-One-pool rule: n-scale BLAS-3 and LAPACK calls go through
-``scipy.linalg.blas``/``scipy.linalg.lapack``, never numpy's ``@``.  numpy
-bundles its own OpenBLAS with its own thread pool, and on a 2-core machine a
-scipy call that follows a numpy BLAS-3 call runs up to twice as slow: handing
-the Woodbury capacitance from one pool to the other doubled the time of the
-H-equation's Newton-Anderson cells at n = 2000, and a numpy J^T J before the
-Cholesky factor did the same to that factor in projected Levenberg-Marquardt.
+One-pool rule: n-scale BLAS-3 and LAPACK calls go through ``blas`` and
+``lapack`` below, never numpy's ``@``.  numpy bundles its own OpenBLAS with
+its own thread pool, and on a 2-core machine a scipy call that follows a
+numpy BLAS-3 call runs up to twice as slow: handing the Woodbury capacitance
+from one pool to the other doubled the time of the H-equation's
+Newton-Anderson cells at n = 2000, and a numpy J^T J before the Cholesky
+factor did the same to that factor in projected Levenberg-Marquardt.
+
+``blas`` and ``lapack`` are scipy's own f2py wrappers ``scipy.linalg._fblas``
+and ``scipy.linalg._flapack``, loaded without running the ``scipy.linalg``
+package ``__init__``: that ``__init__``, mostly numpy.f2py and numpy.testing
+pulled in by scipy's array-API layer, took 342 of the 493 ms of
+``import nasolve``, which now takes 171 ms (medians of 5 ``python -X
+importtime`` runs on a 2-core Xeon).  The two modules are registered in
+``sys.modules`` under their own names, so a later ``import scipy.linalg``
+reuses them and ``scipy.linalg.lapack.dpotrf is lapack.dpotrf``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-import scipy.linalg.blas
-import scipy.linalg.lapack
+import scipy  # runs scipy's _distributor_init (the DLL path of Windows wheels)
+
+
+def _scipy_linalg_extension(name: str):
+    """The extension module scipy.linalg.<name>, without scipy/linalg/__init__.py."""
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(full, [where])
+    if spec is None:
+        raise ImportError(f"no extension module {name} in {where}", name=full)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+blas = _scipy_linalg_extension("_fblas")
+lapack = _scipy_linalg_extension("_flapack")
 
 EPS = float(np.finfo(float).eps)
 
@@ -74,12 +106,12 @@ class DenseJacobian(JacobianMatrix):
         b = np.asarray(b, dtype=float)
         if self.n == 0:  # dgetrf would reject lda = 0, its only info < 0 here
             return np.empty_like(b)
-        lu, piv, _ = scipy.linalg.lapack.dgetrf(self.a)
+        lu, piv, _ = lapack.dgetrf(self.a)
         pivots = np.abs(np.diag(lu))
         threshold = EPS * _max_abs(self.a)  # a NaN entry gives NaN, so no raise
         if pivots.min() <= threshold:
             raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
-        x, info = scipy.linalg.lapack.dgetrs(lu, piv, b)
+        x, info = lapack.dgetrs(lu, piv, b)
         if info < 0:
             raise ValueError(f"dgetrs rejected argument {-info}")
         return x
@@ -133,7 +165,7 @@ class UpperBidiagonalJacobian(JacobianMatrix):
         ab = np.empty((2, self.n), order="F")  # ab[0, 0] lies outside the matrix, never read
         ab[0, 1:] = s
         ab[1] = self.diag
-        x, info = scipy.linalg.lapack.dtbtrs(ab, b, uplo="U", trans="N", diag="N")
+        x, info = lapack.dtbtrs(ab, b, uplo="U", trans="N", diag="N")
         if info > 0:
             # only reachable when a NaN row entry hid an exactly zero pivot
             raise SingularMatrix(f"pivot at row {info - 1} is exactly zero")
@@ -179,13 +211,13 @@ class IdentityMinusLowRankJacobian(JacobianMatrix):
         # C is formed by scipy's dgemm, in the OpenBLAS that then factors it
         # (the one-pool rule above).  The transposes are Fortran-ordered
         # views, so f2py copies neither factor.
-        cap = scipy.linalg.blas.dgemm(-1.0, self.e.T, self.u.T, beta=1.0, trans_b=1,
-                                      c=np.eye(self.u.shape[1], order="F"), overwrite_c=1)
+        cap = blas.dgemm(-1.0, self.e.T, self.u.T, beta=1.0, trans_b=1,
+                         c=np.eye(self.u.shape[1], order="F"), overwrite_c=1)
         return b + self.u @ DenseJacobian(cap).solve(self.e.T @ b)
 
     def to_dense(self):
         # -U E^T in Fortran order, which dsyrk and dpotrf take without a copy
-        m = scipy.linalg.blas.dgemm(-1.0, self.u, self.e, trans_b=1)
+        m = blas.dgemm(-1.0, self.u, self.e, trans_b=1)
         m.flat[:: self.n + 1] += 1.0
         return m
 
@@ -196,7 +228,7 @@ class IdentityMinusLowRankJacobian(JacobianMatrix):
         peaks = []
         for i in range(0, n, rows):
             # rows i.. of -U E^T, formed as the transpose of -E U_rows^T
-            block = scipy.linalg.blas.dgemm(-1.0, self.e.T, self.u[i:i + rows].T, trans_a=1).T
+            block = blas.dgemm(-1.0, self.e.T, self.u[i:i + rows].T, trans_a=1).T
             block.flat[i::n + 1] += 1.0  # the entries (j, i + j) of I
             peaks.append(_max_abs(block))
         return float(np.max(peaks)) if peaks else 0.0

@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg.blas
-import scipy.linalg.lapack
 
 from .core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig
 from .diagnostics import error_recorder, theta_gain
-from .linalg import SingularMatrix, lstsq_gamma
+from .linalg import SingularMatrix, blas, lapack, lstsq_gamma
 
 
 class MethodId(str, Enum):
@@ -283,8 +281,8 @@ def _projected_lm_step(p: NonlinearProblem, project):
         # scipy's BLAS, the pool dpotrf runs in (linalg's one-pool rule);
         # dsyrk fills only the upper triangle, the one dpotrf/dpotrs read
         jac = p.jacobian(x).to_dense()
-        jtf = scipy.linalg.blas.dgemv(1.0, jac, fx, trans=1)
-        normal = scipy.linalg.blas.dsyrk(1.0, jac, trans=1)
+        jtf = blas.dgemv(1.0, jac, fx, trans=1)
+        normal = blas.dsyrk(1.0, jac, trans=1)
         del jac  # not read again: free it before the Cholesky copies
         grad = 2.0 * jtf
         rhs = -jtf
@@ -295,11 +293,11 @@ def _projected_lm_step(p: NonlinearProblem, project):
         for mu in (max(MU_SCALE * res * res, MU_FLOOR), res * res, 1.0):
             a = normal.copy(order="F")  # Fortran order: dpotrf factors it in place
             a.flat[:: p.dim + 1] += mu
-            c, info = scipy.linalg.lapack.dpotrf(a, clean=0, overwrite_a=1)
+            c, info = lapack.dpotrf(a, clean=0, overwrite_a=1)
             if info < 0:
                 raise ValueError(f"dpotrf rejected argument {-info}")
             if info == 0:  # info > 0: a leading minor is not positive definite
-                d, info = scipy.linalg.lapack.dpotrs(c, rhs)
+                d, info = lapack.dpotrs(c, rhs)
                 if info < 0:
                     raise ValueError(f"dpotrs rejected argument {-info}")
                 break

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nasolve
 from nasolve.core import SolverConfig
 from nasolve.linalg import (
     EPS,
@@ -424,3 +430,56 @@ class TestLstsqGamma:
         base = obj(gamma)
         for g in np.linspace(gamma - 1.0, gamma + 1.0, 41):
             assert base <= obj(g) + 1e-10
+
+
+def _fresh_python(code: str) -> str:
+    """Run code in a new interpreter that imports this nasolve; its stdout."""
+    src = str(Path(nasolve.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_solving_never_imports_the_scipy_linalg_package():
+    # scipy.linalg's __init__ pulls in numpy.f2py and numpy.testing, most of
+    # the import time nasolve used to have; every method and the diagnostics
+    # must run on the two extension modules alone
+    out = _fresh_python("""
+        import sys
+        from nasolve import (HEquationSpec, MethodId, MultipolySpec, diagnose_run,
+                             h_equation, multipoly, registry_entry, solve,
+                             with_ground_truth)
+        problems = [registry_entry("Himmelbau"), h_equation(HEquationSpec(n=50, omega=1.0)),
+                    multipoly(MultipolySpec(n=50, k=3))]
+        for p in problems:
+            for method in MethodId:
+                solve(p, method)
+        heq = with_ground_truth(problems[1])
+        diagnose_run(heq, solve(heq, MethodId.gamma_n_anderson))
+        print(sorted(name for name in ("scipy.linalg", "numpy.f2py", "numpy.testing")
+                     if name in sys.modules))
+    """)
+    assert out.strip() == "[]"
+
+
+BLAS_ROUTINES = ("dgemm", "dgemv", "dsyrk")
+LAPACK_ROUTINES = ("dgetrf", "dgetrs", "dtbtrs", "dpotrf", "dpotrs")
+
+
+@pytest.mark.parametrize("first", ["scipy.linalg", "nasolve"])
+def test_handles_are_scipys_own_routines(first):
+    # the loaded extension modules are the ones scipy.linalg binds, in either
+    # import order, so no extension module is initialised twice
+    out = _fresh_python(f"""
+        import {first}
+        import scipy.linalg
+        from nasolve.linalg import blas, lapack
+        for name in {BLAS_ROUTINES!r}:
+            print(name, getattr(scipy.linalg.blas, name) is getattr(blas, name))
+        for name in {LAPACK_ROUTINES!r}:
+            print(name, getattr(scipy.linalg.lapack, name) is getattr(lapack, name))
+    """)
+    assert out.split() == [w for name in BLAS_ROUTINES + LAPACK_ROUTINES for w in (name, "True")]

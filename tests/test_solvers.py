@@ -14,6 +14,8 @@ from nasolve.linalg import (
     IdentityMinusLowRankJacobian,
     SingularMatrix,
     UpperBidiagonalJacobian,
+    blas,
+    lapack,
 )
 from nasolve.problems import (
     HEquationSpec,
@@ -442,17 +444,21 @@ class TestProjectedLm:
                          ladder=(max(MU_SCALE * res * res, MU_FLOOR), res * res, 1.0))
             return jac
 
-        dpotrf = scipy.linalg.lapack.dpotrf
+        # the handle the LM step calls; a count of 0 would make the test vacuous
+        dpotrf = lapack.dpotrf
+        calls = Counter()
 
         def dpotrf_eye(a, **kwargs):
+            calls["dpotrf"] += 1
             mu = state["ladder"][state["attempt"]]
             state["attempt"] += 1
             eye_form = state["normal"] + mu * np.eye(p.dim)
             assert np.array_equal(a, eye_form)
             return dpotrf(eye_form, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", dpotrf_eye)
+        monkeypatch.setattr(lapack, "dpotrf", dpotrf_eye)
         ref = solve(replace(p, jacobian=jacobian), MethodId.proj_lm, SolverConfig())
+        assert calls["dpotrf"] > 0
         assert ref.iterations == fast.iterations > 0
         assert repr(fast.trace) == repr(ref.trace)
         assert fast.final_res == ref.final_res
@@ -475,10 +481,22 @@ class TestProjectedLm:
             m.flat[:: self.n + 1] += 1.0
             return m
 
+        calls = Counter()
+
+        def numpy_dgemv(alpha, a, x, trans):
+            calls["dgemv"] += 1
+            return a.T @ x
+
+        def numpy_dsyrk(alpha, a, trans):
+            calls["dsyrk"] += 1
+            return a.T @ a
+
+        # the handles the LM step calls; a count of 0 would make the test vacuous
         monkeypatch.setattr(IdentityMinusLowRankJacobian, "to_dense", numpy_to_dense)
-        monkeypatch.setattr(scipy.linalg.blas, "dgemv", lambda alpha, a, x, trans: a.T @ x)
-        monkeypatch.setattr(scipy.linalg.blas, "dsyrk", lambda alpha, a, trans: a.T @ a)
+        monkeypatch.setattr(blas, "dgemv", numpy_dgemv)
+        monkeypatch.setattr(blas, "dsyrk", numpy_dsyrk)
         ref = solve(p, MethodId.proj_lm, SolverConfig())
+        assert calls["dgemv"] > 0 and calls["dsyrk"] > 0
         assert (fast.status, fast.iterations, fast.f_evals) == (ref.status, ref.iterations, ref.f_evals)
         assert [rec.step_kind for rec in fast.trace] == [rec.step_kind for rec in ref.trace]
         np.testing.assert_allclose(fast.x, ref.x, rtol=0.0, atol=1e-9)
@@ -535,18 +553,19 @@ def test_proj_lm_class_matches_dense_reference(case, monkeypatch):
     # the reference solve sees each Jacobian as DenseJacobian(to_dense())
     p, jac_class, max_iters, kinds, rung_retry = LM_BRANCH_CASES[case]
     assert type(p.jacobian(p.start)) is jac_class
-    infos = []
-    dpotrf = scipy.linalg.lapack.dpotrf
+    infos = []  # one entry per call of the handle the LM step calls
+    dpotrf = lapack.dpotrf
 
     def recording_dpotrf(a, **kwargs):
         c, info = dpotrf(a, **kwargs)
         infos.append(info)
         return c, info
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recording_dpotrf)
+    monkeypatch.setattr(lapack, "dpotrf", recording_dpotrf)
     cfg = SolverConfig(max_iters=max_iters)
     out = solve(p, MethodId.proj_lm, cfg)
     class_infos = infos[:]
+    assert len(class_infos) > 0
     dense = replace(p, jacobian=lambda x: DenseJacobian(p.jacobian(x).to_dense()))
     ref = solve(dense, MethodId.proj_lm, cfg)
     assert (out.status, out.iterations, out.f_evals) == (ref.status, ref.iterations, ref.f_evals)
