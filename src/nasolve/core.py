@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import JacobianMatrix
+from .linalg import JacobianMatrix, norm2
 
 ResidualFn = Callable[[np.ndarray], np.ndarray]
 JacobianFn = Callable[[np.ndarray], JacobianMatrix]
@@ -161,8 +161,8 @@ def validate_problem(p: NonlinearProblem) -> list[str]:
     violations: list[str] = []
     if p.known_root is not None:
         root = p.known_root
-        rnorm = float(np.linalg.norm(p.residual(root)))
-        thresh = 1e-10 * (1.0 + float(np.linalg.norm(root)))
+        rnorm = norm2(p.residual(root))
+        thresh = 1e-10 * (1.0 + norm2(root))
         if not rnorm <= thresh:
             violations.append(
                 f"residual at known_root: ||f(x*)|| = {rnorm:.3e} exceeds {thresh:.3e}"
@@ -177,7 +177,7 @@ def validate_problem(p: NonlinearProblem) -> list[str]:
             jac = p.jacobian(root)
             scale = max(1.0, jac.max_abs())
             for j in range(basis.shape[1]):
-                jb = float(np.linalg.norm(jac.matvec(basis[:, j])))
+                jb = norm2(jac.matvec(basis[:, j]))
                 if not jb <= 1e-8 * scale:
                     violations.append(
                         f"null_basis column {j} not annihilated: ||J(x*) b|| = {jb:.3e} "

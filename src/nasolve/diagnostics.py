@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .core import IterateError, IterationRecord, NonlinearProblem, SolveOutcome
-from .linalg import lstsq_gamma
+from .linalg import lstsq_gamma, norm2
 
 COMPAT_C = 2.0  # step k is compatible if ||P_N e_{k+1}|| <= COMPAT_C * theta_{k+1} * ||w_{k+1}||
 RHO_DOM = 3.0  # a term dominates another when it is larger by this factor
@@ -49,10 +49,10 @@ class PairLabel:
 def theta_gain(w_next: np.ndarray, w_prev: np.ndarray, gamma_used: float) -> float:
     """Optimization gain ||w_next - gamma*(w_next - w_prev)|| / ||w_next||."""
     w_next = np.asarray(w_next, dtype=float)
-    nw = float(np.linalg.norm(w_next))
+    nw = norm2(w_next)
     if nw == 0.0:
         raise ZeroStep("||w_next|| = 0")
-    return float(np.linalg.norm(w_next - gamma_used * (w_next - np.asarray(w_prev)))) / nw
+    return norm2(w_next - gamma_used * (w_next - np.asarray(w_prev))) / nw
 
 
 _PAIR_KINDS = {("N", "N"): PairKind.N_pair, ("R", "R"): PairKind.R_pair,
@@ -71,7 +71,7 @@ def _pair_label(c_k, d_k, c_km1, d_km1, gamma: float | None) -> PairLabel:
     terms = [(0.5 * c, c + d - 0.5 * c) for c, d in ((c_k, d_k), (c_km1, d_km1))]
     labels = []
     for t_null, t_curv in terms:
-        t_n, t_r = float(np.linalg.norm(t_null)), float(np.linalg.norm(t_curv))
+        t_n, t_r = norm2(t_null), norm2(t_curv)
         if t_n == 0.0 and t_r == 0.0:
             labels.append(None)
         elif t_n >= RHO_DOM * t_r:
@@ -85,7 +85,7 @@ def _pair_label(c_k, d_k, c_km1, d_km1, gamma: float | None) -> PairLabel:
     (a_k, a_km1), (l_k, l_km1) = (1.0 - gamma, gamma), labels
     combined = a_k * terms[0][l_k == "R"] + a_km1 * terms[1][l_km1 == "R"]
     rest = a_k * terms[0][l_k == "N"] + a_km1 * terms[1][l_km1 == "N"]
-    strong = float(np.linalg.norm(combined)) >= RHO_DOM * float(np.linalg.norm(rest))
+    strong = norm2(combined) >= RHO_DOM * norm2(rest)
     return PairLabel(kind=kind, strong=strong)
 
 
@@ -147,7 +147,7 @@ def diagnose_run(p: NonlinearProblem, outcome: SolveOutcome) -> DiagnosticsRepor
     if errs is None:
         raise MissingGroundTruth(f"{p.name}: outcome solved without known_root and null_basis")
 
-    pn = [float(np.linalg.norm(it.null)) for it in errs]
+    pn = [norm2(it.null) for it in errs]
     steps = []
     for rec, prev, now, new in zip(outcome.trace, [None] + errs, errs, errs[1:]):
         k = rec.k
@@ -160,7 +160,7 @@ def diagnose_run(p: NonlinearProblem, outcome: SolveOutcome) -> DiagnosticsRepor
             compatible=pn[k + 1] <= COMPAT_C * rec.theta * rec.step_norm,
         ))
 
-    scale = NOISE_FLOOR * (1.0 + float(np.linalg.norm(p.known_root)))
+    scale = NOISE_FLOOR * (1.0 + norm2(p.known_root))
     tail = [v for v in pn if v > scale]
     rate = estimate_rate(tail[-12:])
     order = None if rate is None else estimate_root_order(rate)
@@ -188,7 +188,7 @@ def error_recorder(p: NonlinearProblem, x0: np.ndarray):
         else:
             gamma = lstsq_gamma(w, last[0])
         d = None if w is None else basis.T @ w
-        errors.append(IterateError(c, float(np.linalg.norm(e)), d, gamma))
+        errors.append(IterateError(c, norm2(e), d, gamma))
         last[0] = w
 
     record(x0, None)

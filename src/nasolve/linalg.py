@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 
@@ -58,6 +59,19 @@ EPS = float(np.finfo(float).eps)
 
 class SingularMatrix(Exception):
     """A pivot collapsed below machine precision; the matrix is numerically singular."""
+
+
+def norm2(v: np.ndarray) -> float:
+    """||v||_2 of a contiguous 1-D float array, as a Python float.
+
+    The arithmetic of ``np.linalg.norm(v)``, sqrt(v . v) by one BLAS dot,
+    without its argument checks: the same bits, an overflowing dot giving inf
+    and a NaN entry NaN.  On a strided view BLAS sums in another order, so
+    the last bit can differ; nasolve passes arrays fresh from arithmetic or
+    a residual.  On the registry's n <= 8 systems the checks cost more than
+    the dot, and a solve takes several norms per step.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -107,10 +121,10 @@ class DenseJacobian(JacobianMatrix):
         if self.n == 0:  # dgetrf would reject lda = 0, its only info < 0 here
             return np.empty_like(b)
         lu, piv, _ = lapack.dgetrf(self.a)
-        pivots = np.abs(np.diag(lu))
+        pivot = np.abs(lu.diagonal()).min()
         threshold = EPS * _max_abs(self.a)  # a NaN entry gives NaN, so no raise
-        if pivots.min() <= threshold:
-            raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
+        if pivot <= threshold:
+            raise SingularMatrix(f"pivot {pivot:.3e} below threshold {threshold:.3e}")
         x, info = lapack.dgetrs(lu, piv, b)
         if info < 0:
             raise ValueError(f"dgetrs rejected argument {-info}")
@@ -244,7 +258,7 @@ def lstsq_gamma(w_next: np.ndarray, w_prev: np.ndarray) -> float | None:
     w_next = np.asarray(w_next, dtype=float)
     w_prev = np.asarray(w_prev, dtype=float)
     d = w_next - w_prev
-    dn = np.linalg.norm(d)
-    if dn <= EPS * (np.linalg.norm(w_next) + np.linalg.norm(w_prev)):
+    dn = norm2(d)
+    if dn <= EPS * (norm2(w_next) + norm2(w_prev)):
         return None
-    return float(d @ w_next) / float(dn * dn)
+    return float(d @ w_next) / (dn * dn)

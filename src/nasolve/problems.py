@@ -238,6 +238,12 @@ def fd_jacobian_check(p: NonlinearProblem, x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # small-scale registry
 # ---------------------------------------------------------------------------
+# The n <= 8 formulas run on Python floats (``x.tolist()``): numpy scalar
+# arithmetic gives the same bits at several times the cost per operation.
+# Each power is still numpy's scalar power, ``float(x[i] ** e)``, libm's pow:
+# Python's float ``**`` raises OverflowError where numpy's returns inf, and a
+# diverging iterate must end ``nonfinite``; ``x * x`` is not pow's square to
+# the ulp.  exp, sin and cos stay numpy's for their bits too.
 
 
 def _boxed(name, residual, jacobian, lo, hi) -> NonlinearProblem:
@@ -248,21 +254,24 @@ def _boxed(name, residual, jacobian, lo, hi) -> NonlinearProblem:
 def _himmelbau(name: str) -> NonlinearProblem:
     # stationarity system of Himmelblau's function; box [-5,5]^2
     def residual(x):
-        x1, x2 = x
+        x1, x2 = x.tolist()
+        x1_3, x2_2, x1_2, x2_3 = (float(x[0] ** 3), float(x[1] ** 2),
+                                  float(x[0] ** 2), float(x[1] ** 3))
         return np.array(
             [
-                4.0 * x1**3 + 4.0 * x1 * x2 + 2.0 * x2**2 - 42.0 * x1 - 14.0,
-                2.0 * x1**2 + 4.0 * x1 * x2 + 4.0 * x2**3 - 26.0 * x2 - 22.0,
+                4.0 * x1_3 + 4.0 * x1 * x2 + 2.0 * x2_2 - 42.0 * x1 - 14.0,
+                2.0 * x1_2 + 4.0 * x1 * x2 + 4.0 * x2_3 - 26.0 * x2 - 22.0,
             ]
         )
 
     def jacobian(x):
-        x1, x2 = x
+        x1, x2 = x.tolist()
+        x1_2, x2_2 = float(x[0] ** 2), float(x[1] ** 2)
         return DenseJacobian(
             np.array(
                 [
-                    [12.0 * x1**2 + 4.0 * x2 - 42.0, 4.0 * x1 + 4.0 * x2],
-                    [4.0 * x1 + 4.0 * x2, 12.0 * x2**2 + 4.0 * x1 - 26.0],
+                    [12.0 * x1_2 + 4.0 * x2 - 42.0, 4.0 * x1 + 4.0 * x2],
+                    [4.0 * x1 + 4.0 * x2, 12.0 * x2_2 + 4.0 * x1 - 26.0],
                 ]
             )
         )
@@ -283,35 +292,37 @@ def _eq_combustion(name: str) -> NonlinearProblem:
     R10 = 9.615e-7
 
     def residual(x):
-        x1, x2, x3, x4, x5 = x
+        x1, x2, x3, x4, x5 = x.tolist()
+        x2_2, x3_2, x4_2 = float(x[1] ** 2), float(x[2] ** 2), float(x[3] ** 2)
         return np.array(
             [
                 x1 * x2 + x1 - 3.0 * x5,
-                2.0 * x1 * x2 + x1 + 2.0 * R10 * x2**2 + x2 * x3**2
+                2.0 * x1 * x2 + x1 + 2.0 * R10 * x2_2 + x2 * x3_2
                 + R7 * x2 * x3 + R9 * x2 * x4 + R8 * x2 - R * x5,
-                2.0 * x2 * x3**2 + R7 * x2 * x3 + 2.0 * R5 * x3**2 + R6 * x3 - 8.0 * x5,
-                R9 * x2 * x4 + 2.0 * x4**2 - 4.0 * R * x5,
-                x1 * x2 + x1 + R10 * x2**2 + x2 * x3**2 + R7 * x2 * x3
-                + R9 * x2 * x4 + R8 * x2 + R5 * x3**2 + R6 * x3 + x4**2 - 1.0,
+                2.0 * x2 * x3_2 + R7 * x2 * x3 + 2.0 * R5 * x3_2 + R6 * x3 - 8.0 * x5,
+                R9 * x2 * x4 + 2.0 * x4_2 - 4.0 * R * x5,
+                x1 * x2 + x1 + R10 * x2_2 + x2 * x3_2 + R7 * x2 * x3
+                + R9 * x2 * x4 + R8 * x2 + R5 * x3_2 + R6 * x3 + x4_2 - 1.0,
             ]
         )
 
     def jacobian(x):
-        x1, x2, x3, x4, x5 = x
+        x1, x2, x3, x4, x5 = x.tolist()
+        x3_2 = float(x[2] ** 2)
         return DenseJacobian(
             np.array(
                 [
                     [x2 + 1.0, x1, 0.0, 0.0, -3.0],
                     [
                         2.0 * x2 + 1.0,
-                        2.0 * x1 + 4.0 * R10 * x2 + x3**2 + R7 * x3 + R9 * x4 + R8,
+                        2.0 * x1 + 4.0 * R10 * x2 + x3_2 + R7 * x3 + R9 * x4 + R8,
                         2.0 * x2 * x3 + R7 * x2,
                         R9 * x2,
                         -R,
                     ],
                     [
                         0.0,
-                        2.0 * x3**2 + R7 * x3,
+                        2.0 * x3_2 + R7 * x3,
                         4.0 * x2 * x3 + R7 * x2 + 4.0 * R5 * x3 + R6,
                         0.0,
                         -8.0,
@@ -319,7 +330,7 @@ def _eq_combustion(name: str) -> NonlinearProblem:
                     [0.0, R9 * x4, 0.0, R9 * x2 + 4.0 * x4, -4.0 * R],
                     [
                         x2 + 1.0,
-                        x1 + 2.0 * R10 * x2 + x3**2 + R7 * x3 + R9 * x4 + R8,
+                        x1 + 2.0 * R10 * x2 + x3_2 + R7 * x3 + R9 * x4 + R8,
                         2.0 * x2 * x3 + R7 * x2 + 2.0 * R5 * x3 + R6,
                         R9 * x2 + 2.0 * x4,
                         0.0,
@@ -335,13 +346,13 @@ def _eq_combustion(name: str) -> NonlinearProblem:
 
 def _bullard_biegler(name: str) -> NonlinearProblem:
     def residual(x):
-        x1, x2 = x
+        x1, x2 = x.tolist()
         return np.array(
             [1.0e4 * x1 * x2 - 1.0, np.exp(-x1) + np.exp(-x2) - 1.001]
         )
 
     def jacobian(x):
-        x1, x2 = x
+        x1, x2 = x.tolist()
         return DenseJacobian(
             np.array([[1.0e4 * x2, 1.0e4 * x1], [-np.exp(-x1), -np.exp(-x2)]])
         )
@@ -355,7 +366,7 @@ def _ferraris_tronconi(name: str) -> NonlinearProblem:
     a = 1.0 - 0.25 / np.pi
 
     def residual(x):
-        x1, x2 = x
+        x1, x2 = x.tolist()
         return np.array(
             [
                 0.5 * np.sin(x1 * x2) - 0.25 * x2 / np.pi - 0.5 * x1,
@@ -364,7 +375,7 @@ def _ferraris_tronconi(name: str) -> NonlinearProblem:
         )
 
     def jacobian(x):
-        x1, x2 = x
+        x1, x2 = x.tolist()
         c = 0.5 * np.cos(x1 * x2)
         return DenseJacobian(
             np.array(
@@ -382,19 +393,20 @@ def _ferraris_tronconi(name: str) -> NonlinearProblem:
 
 def _browns_almost_linear(name: str) -> NonlinearProblem:
     n = 5
+    linear = np.ones((n, n))  # rows 1..n-1 of J: ones plus the identity
+    linear[:-1, :-1] += np.eye(n - 1)
 
     def residual(x):
-        f = np.empty(n)
-        s = float(np.sum(x))
-        f[:-1] = x[:-1] + s - (n + 1.0)
-        f[-1] = float(np.prod(x)) - 1.0
-        return f
+        xs = x.tolist()
+        s = xs[0]
+        for v in xs[1:]:
+            s += v  # left to right: np.sum's order below eight entries
+        return np.array([v + s - (n + 1.0) for v in xs[:-1]] + [math.prod(xs) - 1.0])
 
     def jacobian(x):
-        jm = np.ones((n, n))
-        jm[:-1, :-1] += np.eye(n - 1)
-        for j in range(n):
-            jm[-1, j] = np.prod(np.delete(x, j))
+        xs = x.tolist()
+        jm = linear.copy()
+        jm[-1] = [math.prod(xs[:j] + xs[j + 1:]) for j in range(n)]
         return DenseJacobian(jm)
 
     lo = np.full(n, -2.0)
@@ -404,7 +416,8 @@ def _browns_almost_linear(name: str) -> NonlinearProblem:
 
 def _robot_kinematics(name: str) -> NonlinearProblem:
     def residual(x):
-        x1, x2, x3, x4, x5, x6, x7, x8 = x
+        x1, x2, x3, x4, x5, x6, x7, x8 = x.tolist()
+        s1, s2, s3, s4, s5, s6, s7, s8 = [float(v ** 2) for v in x]
         return np.array(
             [
                 0.004731 * x1 * x3 - 0.3578 * x2 * x3 - 0.1238 * x1 + x7
@@ -413,31 +426,27 @@ def _robot_kinematics(name: str) -> NonlinearProblem:
                 - 0.07745 * x2 - 0.6734 * x4 - 0.6022,
                 x6 * x8 + 0.3578 * x1 + 0.004731 * x2,
                 -0.7623 * x1 + 0.2238 * x2 + 0.3461,
-                x1**2 + x2**2 - 1.0,
-                x3**2 + x4**2 - 1.0,
-                x5**2 + x6**2 - 1.0,
-                x7**2 + x8**2 - 1.0,
+                s1 + s2 - 1.0,
+                s3 + s4 - 1.0,
+                s5 + s6 - 1.0,
+                s7 + s8 - 1.0,
             ]
         )
 
     def jacobian(x):
-        x1, x2, x3, x4, x5, x6, x7, x8 = x
-        jm = np.zeros((8, 8))
-        jm[0] = [
-            0.004731 * x3 - 0.1238, -0.3578 * x3 - 0.001637,
-            0.004731 * x1 - 0.3578 * x2, -0.9338, 0.0, 0.0, 1.0, 0.0,
-        ]
-        jm[1] = [
-            0.2238 * x3 + 0.2638, 0.7623 * x3 - 0.07745,
-            0.2238 * x1 + 0.7623 * x2, -0.6734, 0.0, 0.0, -1.0, 0.0,
-        ]
-        jm[2] = [0.3578, 0.004731, 0.0, 0.0, 0.0, x8, 0.0, x6]
-        jm[3] = [-0.7623, 0.2238, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        jm[4] = [2.0 * x1, 2.0 * x2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        jm[5] = [0.0, 0.0, 2.0 * x3, 2.0 * x4, 0.0, 0.0, 0.0, 0.0]
-        jm[6] = [0.0, 0.0, 0.0, 0.0, 2.0 * x5, 2.0 * x6, 0.0, 0.0]
-        jm[7] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0 * x7, 2.0 * x8]
-        return DenseJacobian(jm)
+        x1, x2, x3, x4, x5, x6, x7, x8 = x.tolist()
+        return DenseJacobian(np.array([
+            [0.004731 * x3 - 0.1238, -0.3578 * x3 - 0.001637,
+             0.004731 * x1 - 0.3578 * x2, -0.9338, 0.0, 0.0, 1.0, 0.0],
+            [0.2238 * x3 + 0.2638, 0.7623 * x3 - 0.07745,
+             0.2238 * x1 + 0.7623 * x2, -0.6734, 0.0, 0.0, -1.0, 0.0],
+            [0.3578, 0.004731, 0.0, 0.0, 0.0, x8, 0.0, x6],
+            [-0.7623, 0.2238, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [2.0 * x1, 2.0 * x2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 2.0 * x3, 2.0 * x4, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 2.0 * x5, 2.0 * x6, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0 * x7, 2.0 * x8],
+        ]))
 
     lo = np.full(8, -1.0)
     hi = np.full(8, 1.0)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig
 from .diagnostics import error_recorder, theta_gain
-from .linalg import SingularMatrix, blas, lapack, lstsq_gamma
+from .linalg import SingularMatrix, blas, lapack, lstsq_gamma, norm2
 
 
 class MethodId(str, Enum):
@@ -171,7 +171,7 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
     truth = p.known_root is not None and p.null_basis is not None
     errors, record = error_recorder(p, x) if truth else (None, None)
     for k in range(cfg.max_iters + 1):
-        res = float(np.linalg.norm(fx))
+        res = norm2(fx)
         status = _stop_status(res, cfg.tol, at_cap=k == cfg.max_iters)
         if status is not None:
             break
@@ -212,7 +212,7 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, method: Method
         nonlocal x_prev, w_prev, w_prev_norm
         jac = p.jacobian(x)
         w = jac.solve(-fx)
-        w_norm = float(np.linalg.norm(w))
+        w_norm = norm2(w)
 
         gamma_raw, lam, gamma_used, theta, kind = 0.0, 1.0, 0.0, 1.0, "newton"
         if anderson and k > 0:
@@ -239,7 +239,7 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, method: Method
         ls_evals = 0
         # the search direction needs the (x_{k-1}, w_k) history, so the
         # mandatory first Newton step is never line-searched
-        if linesearch and k > 0 and float(np.linalg.norm(f_new)) > LS_TRIGGER * res:
+        if linesearch and k > 0 and norm2(f_new) > LS_TRIGGER * res:
             d = w - gamma_used * (x - x_prev + w - w_prev) if kind == "anderson" else w
             g0 = float(fx @ fx)
             slope = 2.0 * float(fx @ jac.matvec(d))  # g'(x)^T d
@@ -307,7 +307,7 @@ def _projected_lm_step(p: NonlinearProblem, project):
         if d is not None:
             cand = project(x + d)
             f_cand = residual(cand)
-            if float(np.linalg.norm(f_cand)) <= LS_TRIGGER * res:
+            if norm2(f_cand) <= LS_TRIGGER * res:
                 kind = "lm"
                 x_new, f_new = cand, f_cand
             else:
@@ -328,7 +328,7 @@ def _projected_lm_step(p: NonlinearProblem, project):
             )
 
         rec = IterationRecord(
-            k=k, res_norm=res, step_norm=float(np.linalg.norm(x_new - x)),
+            k=k, res_norm=res, step_norm=norm2(x_new - x),
             step_kind=kind, ls_evals=ls_evals,
         )
         return rec, x_new, f_new, None

@@ -21,6 +21,7 @@ from nasolve.linalg import (
     SingularMatrix,
     UpperBidiagonalJacobian,
     lstsq_gamma,
+    norm2,
 )
 from nasolve.problems import HEquationSpec, MultipolySpec, h_equation, multipoly
 from nasolve.solvers import MethodId, solve
@@ -430,6 +431,47 @@ class TestLstsqGamma:
         base = obj(gamma)
         for g in np.linspace(gamma - 1.0, gamma + 1.0, 41):
             assert base <= obj(g) + 1e-10
+
+
+def _norm_vectors():
+    """(label, vector) pairs: random, subnormal, overflowing (1e200: the dot is
+    inf), +-inf and NaN entries at lengths 0, 1, 2, 8 and 10^5."""
+    rng = np.random.default_rng(23)
+    yield "empty", np.empty(0)
+    for n in (1, 2, 8, 10**5):
+        v = rng.standard_normal(n)
+        yield f"random-{n}", v
+        yield f"subnormal-{n}", v * 1e-310
+        yield f"huge-{n}", v * 1e200
+        yield f"mixed-{n}", v * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        for bad in (np.inf, -np.inf, np.nan):
+            w = v.copy()
+            w[rng.integers(n)] = bad
+            yield f"{bad}-{n}", w
+        if n > 1:
+            w = v.copy()
+            w[:2] = np.inf, -np.inf
+            yield f"+-inf-{n}", w
+
+
+NORM_VECTORS = dict(_norm_vectors())
+
+
+@pytest.mark.parametrize("label", NORM_VECTORS)
+def test_norm2_bit_identical_to_numpy_norm(label):
+    # the fast path's reference: np.linalg.norm, to the last bit and with the
+    # same warnings (the dot's overflow warning on the 1e200 vectors)
+    def run(norm):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = norm(NORM_VECTORS[label])
+        return value, [(w.category, str(w.message)) for w in caught]
+
+    got, got_warnings = run(norm2)
+    want, want_warnings = run(np.linalg.norm)
+    assert type(got) is float
+    assert got.hex() == float(want).hex()
+    assert got_warnings == want_warnings
 
 
 def _fresh_python(code: str) -> str:

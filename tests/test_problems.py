@@ -355,6 +355,64 @@ class TestRegistry:
         assert np.all(out.x >= lo - 1e-9) and np.all(out.x <= hi + 1e-9)
 
 
+def _registry_points(p, rng):
+    """200 seeded points of p's box, then one with entries +-1e200."""
+    lo, hi = p.bounds
+    points = [lo + rng.random(p.dim) * (hi - lo) for _ in range(200)]
+    return points + [np.where(rng.random(p.dim) < 0.5, -1e200, 1e200)]
+
+
+def _numpy_scalars(x):
+    """x as an object array of np.float64 elements, which its ``tolist()``
+    returns as they are (``x.astype(object)`` would hold Python floats)."""
+    out = np.empty(len(x), dtype=object)
+    out[:] = list(x)
+    assert all(type(v) is np.float64 for v in out.tolist())
+    return out
+
+
+class TestRegistryFormulas:
+    """The registry formulas run on Python floats; their reference is the same
+    formulas on np.float64 scalars, the arithmetic they ran before, and at
+    1e200 neither may raise (Python's float ``**`` would)."""
+
+    @pytest.mark.parametrize("name", [p.name for p in registry()])
+    def test_python_floats_match_numpy_scalars(self, name):
+        p = registry_entry(name)
+        for x in _registry_points(p, np.random.default_rng(41)):
+            with np.errstate(all="ignore"):
+                f, jm = p.residual(x), p.jacobian(x).to_dense()
+                f_ref = p.residual(_numpy_scalars(x))
+                jm_ref = p.jacobian(_numpy_scalars(x)).to_dense()
+            assert f.dtype == f_ref.dtype == jm.dtype == jm_ref.dtype == np.float64
+            assert f.tobytes() == f_ref.tobytes(), x
+            assert jm.tobytes() == jm_ref.tobytes(), x
+
+    @pytest.mark.parametrize("name", [p.name for p in registry()])
+    def test_overflowing_start_ends_nonfinite(self, name):
+        p = registry_entry(name)
+        with np.errstate(all="ignore"):
+            out = solve(replace(p, start=np.full(p.dim, 1e200)), MethodId.newton)
+        assert out.status == "nonfinite"
+
+    def test_brown_products_match_numpy_reduction(self):
+        # the residual and the last Jacobian row against the vectorised
+        # formulas they replace: np.sum, np.prod and np.prod(np.delete(x, j))
+        p = registry_entry("Brown's Al. Lin.")
+        rng = np.random.default_rng(43)
+        points = _registry_points(p, rng) + [rng.standard_normal(5) * 10.0 ** rng.uniform(-3, 3, 5)
+                                             for _ in range(200)]
+        for x in points:
+            with np.errstate(all="ignore"):
+                want = np.empty(5)
+                want[:-1] = x[:-1] + float(np.sum(x)) - 6.0
+                want[-1] = float(np.prod(x)) - 1.0
+                row = [np.prod(np.delete(x, j)) for j in range(5)]
+                f, jm = p.residual(x), p.jacobian(x).to_dense()
+            assert f.tobytes() == want.tobytes(), x
+            assert jm[-1].tobytes() == np.array(row).tobytes(), x
+
+
 def test_with_ground_truth_keeps_every_other_field():
     p = NonlinearProblem(
         name="shift", residual=lambda x: x - 1.0,

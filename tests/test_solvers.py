@@ -732,3 +732,24 @@ def test_method_table(method):
         assert searched > 0
     else:
         assert searched == 0
+
+
+def test_registry_solves_call_neither_numpy_norm_nor_delete(monkeypatch):
+    # the registry's per-call path: norms by linalg.norm2, Brown's products by
+    # math.prod; the stand-ins count, then forward, so the solves still run
+    calls = Counter()
+
+    def counting(name, real):
+        def stand_in(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return stand_in
+
+    monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm))
+    monkeypatch.setattr(np, "delete", counting("delete", np.delete))
+    assert np.linalg.norm(np.ones(4)) == 2.0 and calls["norm"] == 1  # the patch takes
+    calls.clear()
+    for p in registry():
+        for method in MethodId:
+            solve(p, method)
+    assert calls == Counter()
