@@ -39,13 +39,7 @@ from .problems import (
     registry_entry,
     with_ground_truth,
 )
-from .solvers import (
-    MethodId,
-    SafeguardDecision,
-    anderson_combine,
-    gamma_safeguard,
-    solve,
-)
+from .solvers import MethodId, SafeguardDecision, anderson_combine, gamma_safeguard, solve
 from .harness import (
     ExperimentSpec,
     RunReport,

@@ -53,17 +53,12 @@ class NonlinearProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
-        if self.known_root is not None:
-            object.__setattr__(self, "known_root", np.asarray(self.known_root, dtype=float))
-        if self.null_basis is not None:
-            object.__setattr__(self, "null_basis", np.asarray(self.null_basis, dtype=float))
+        for name in ("known_root", "null_basis"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.bounds is not None:
             lo, hi = self.bounds
-            object.__setattr__(
-                self,
-                "bounds",
-                (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)),
-            )
+            object.__setattr__(self, "bounds", (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
 
     @property
     def dim(self) -> int:

@@ -2,7 +2,8 @@
 
 Three Jacobian representations are supported: dense arrays, an upper
 bidiagonal band held as two arrays (diagonal and superdiagonal), and an
-identity minus a rank-r product held as two n x r factors.  Each class is the
+identity minus a weighted rank-r product, I - diag(w) E M E^T, held as an
+n-vector w, one n x r factor E and an r x r core M.  Each class is the
 only home of its format, its solve included; solvers only rely on the common
 ``matvec``/``solve`` interface.
 
@@ -197,52 +198,62 @@ class UpperBidiagonalJacobian(JacobianMatrix):
 
 
 class IdentityMinusLowRankJacobian(JacobianMatrix):
-    """J = I - U E^T held as its two n x r factors: the H-equation's Jacobian.
+    """J = I - diag(w) E M E^T: the H-equation's Jacobian.
 
-    ``matvec`` and ``solve`` cost O(n r) plus one r x r LU, and no n x n array
-    is formed except by ``to_dense``.
+    Held as the weights w >= 0 (an n-vector), one n x r factor E and an
+    r x r core M.  ``matvec`` costs O(n r), ``solve`` O(n r^2) plus one r x r
+    LU, and no n x n array is formed except by ``to_dense``.
     """
 
-    def __init__(self, u: np.ndarray, e: np.ndarray):
-        u = np.asarray(u, dtype=float)
-        e = np.asarray(e, dtype=float)
-        if u.ndim != 2 or u.shape != e.shape:
-            raise ValueError(f"need two n x r factors of one shape, got {u.shape} and {e.shape}")
-        self.u = u
-        self.e = e
-        self.n = u.shape[0]
+    def __init__(self, w: np.ndarray, e: np.ndarray, m: np.ndarray):
+        w, e, m = (np.asarray(a, dtype=float) for a in (w, e, m))
+        if e.ndim != 2 or w.shape != e.shape[:1] or m.shape != (e.shape[1],) * 2:
+            raise ValueError(f"need w (n,), E (n, r) and M (r, r), got {w.shape}, {e.shape}, {m.shape}")
+        if np.any(w < 0.0):  # solve's Gram matrix takes sqrt(w); a NaN weight passes
+            raise ValueError("need weights w >= 0")
+        self.w, self.e, self.m = w, e, m
+        self.n = e.shape[0]
 
     def matvec(self, v):
-        return v - self.u @ (self.e.T @ v)
+        return v - self.w * (self.e @ (self.m @ (self.e.T @ v)))
 
     def solve(self, b):
-        """Woodbury: x = b + U C^{-1} E^T b with the capacitance C = I_r - E^T U.
+        """Woodbury: x = b + W E C^{-1} M E^T b with the capacitance
+        C = I_r - M G and the Gram matrix G = E^T W E, W = diag(w).
 
         C is solved by ``DenseJacobian.solve``, whose pivot test raises
         SingularMatrix when C, and so J (det J = det C), is numerically singular.
         """
         b = np.asarray(b, dtype=float)
-        # C is formed by scipy's dgemm, in the OpenBLAS that then factors it
-        # (the one-pool rule above).  The transposes are Fortran-ordered
-        # views, so f2py copies neither factor.
-        cap = blas.dgemm(-1.0, self.e.T, self.u.T, beta=1.0, trans_b=1,
-                         c=np.eye(self.u.shape[1], order="F"), overwrite_c=1)
-        return b + self.u @ DenseJacobian(cap).solve(self.e.T @ b)
+        # G and C by scipy's dsyrk and dgemm, in the OpenBLAS that then factors
+        # C (the one-pool rule above).  dsyrk takes the transpose, a Fortran-
+        # ordered view, without a copy, and fills the upper triangle of G only.
+        gram = blas.dsyrk(1.0, (self.e * np.sqrt(self.w)[:, None]).T)
+        gram += np.triu(gram, 1).T
+        cap = blas.dgemm(-1.0, self.m, gram, beta=1.0,
+                         c=np.eye(self.m.shape[0], order="F"), overwrite_c=1)
+        return b + self.w * (self.e @ DenseJacobian(cap).solve(self.m @ (self.e.T @ b)))
+
+    def _weighted_em(self) -> np.ndarray:
+        """W E M, C-ordered: the transpose of scipy's M^T E^T, which reads the
+        Fortran-ordered view E^T without a copy."""
+        return blas.dgemm(1.0, self.m, self.e.T, trans_a=1).T * self.w[:, None]
 
     def to_dense(self):
-        # -U E^T in Fortran order, which dsyrk and dpotrf take without a copy
-        m = blas.dgemm(-1.0, self.u, self.e, trans_b=1)
-        m.flat[:: self.n + 1] += 1.0
-        return m
+        # -W E M E^T in Fortran order, which dsyrk and dpotrf take without a copy
+        mat = blas.dgemm(-1.0, self._weighted_em().T, self.e.T, trans_a=1)
+        mat.flat[:: self.n + 1] += 1.0
+        return mat
 
     def max_abs(self):
-        # over row blocks of I - U E^T; the transposes are Fortran-ordered views
-        # (as in solve), so f2py copies neither factor.  np.max keeps a NaN.
+        # over row blocks of I - W E M E^T; the transposes are Fortran-ordered
+        # views, so f2py copies neither factor.  np.max keeps a NaN.
         n, rows = self.n, 256
+        wem = self._weighted_em()
         peaks = []
         for i in range(0, n, rows):
-            # rows i.. of -U E^T, formed as the transpose of -E U_rows^T
-            block = blas.dgemm(-1.0, self.e.T, self.u[i:i + rows].T, trans_a=1).T
+            # rows i.. of -W E M E^T, formed as the transpose of -E (W E M)_rows^T
+            block = blas.dgemm(-1.0, self.e.T, wem[i:i + rows].T, trans_a=1).T
             block.flat[i::n + 1] += 1.0  # the entries (j, i + j) of I
             peaks.append(_max_abs(block))
         return float(np.max(peaks)) if peaks else 0.0

@@ -55,45 +55,46 @@ KERNEL_TAU = 0.2  # the Taylor block is at most tau against 1/x >= 1/2: its roun
 KERNEL_DEGREE = 13  # the first dropped Taylor term, tau^15 2^14 / 15!, is below 1e-18 on x <= 2
 
 
+def _nodes(n: int) -> np.ndarray:  # the H-equation's midpoint nodes mu_i = (i - 1/2)/n
+    return (np.arange(1, n + 1) - 0.5) / n
+
+
 def _kernel_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n x r factors A, E with A E^T = mu_i / (mu_i + mu_j) at the midpoint nodes.
+    """n x r factor E and symmetric r x r core M with mu_i (E M E^T)_ij =
+    mu_i / (mu_i + mu_j) at the midpoint nodes.
 
     The trapezoid rule with step h on 1/x = int exp(s - x e^s) ds over
     s in [ln(eps/2), ln(60 n)] (Braess & Hackbusch's exponential sum for 1/x)
     gives nodes t_q = e^(s_q) and 1/x ~ sum_q h t_q e^(-x t_q).  The nodes with
-    t_q > KERNEL_TAU stay as columns E_jq = exp(-t_q mu_j), A_iq = mu_i h t_q E_iq.
+    t_q > KERNEL_TAU stay as columns E_jq = exp(-t_q mu_j), M_qq = h t_q.
     The others, where e^(-x t_q) is nearly flat on x = mu_i + mu_j <= 2, are
     replaced by the degree-KERNEL_DEGREE Taylor polynomial of their own sum,
     sum_m c_m x^m with c_m = (-1)^m / m! sum_q h t_q^(m+1); expanding x^m
     binomially makes it V P V^T with V_jl = mu_j^l and
-    P_ll' = c_(l+l') C(l+l', l), so E gains the columns V and A gains
-    mu_i (V P).  That is r = 68 at n = 2000 (14 polynomial columns in place of
-    141 nodes), growing like ln n, and each entry is within 2e-15 of the
-    kernel, relative.
+    P_ll' = c_(l+l') C(l+l', l), so E gains the columns V and M the block P.
+    That is r = 68 at n = 2000 (14 polynomial columns in place of 141 nodes),
+    growing like ln n, and each entry is within 2e-15 of the kernel, relative.
     """
-    mu = (np.arange(1, n + 1) - 0.5) / n
+    mu = _nodes(n)
     # h = 0.45 leaves a kernel error of 5.6e-9, and then Newton at omega = 1
     # no longer converges to the tolerance; the tests pin the error
     h = 0.25
     t = np.exp(np.arange(np.log(EPS / 2.0), np.log(60.0 * n) + h, h))
     small, t = t[t <= KERNEL_TAU], t[t > KERNEL_TAU]
     deg = KERNEL_DEGREE
-    c = [(-1) ** k / math.factorial(k) * float(np.sum(h * small ** (k + 1)))
-         for k in range(deg + 1)]
-    poly = np.zeros((deg + 1, deg + 1))
-    for k in range(deg + 1):
-        for l in range(k + 1):
-            poly[l, k - l] = c[k] * math.comb(k, l)
-    # filled in place: at n = 10^5 an hstack would hold a third n x r array
     q = t.size
-    a, e = np.empty((n, q + deg + 1)), np.empty((n, q + deg + 1))
+    m = np.zeros((q + deg + 1, q + deg + 1))
+    m[range(q), range(q)] = h * t
+    for k in range(deg + 1):
+        c = (-1) ** k / math.factorial(k) * float(np.sum(h * small ** (k + 1)))
+        for l in range(k + 1):
+            m[q + l, q + k - l] = c * math.comb(k, l)
+    # filled in place: at n = 10^5 an hstack would hold a second n x r array
+    e = np.empty((n, q + deg + 1))
     np.multiply.outer(-mu, t, out=e[:, :q])
     np.exp(e[:, :q], out=e[:, :q])
     np.power(mu[:, None], np.arange(deg + 1), out=e[:, q:])
-    np.multiply(e[:, :q], h * t, out=a[:, :q])
-    np.matmul(e[:, q:], poly, out=a[:, q:])
-    a *= mu[:, None]
-    return a, e
+    return e, m
 
 
 def h_equation(spec: HEquationSpec) -> NonlinearProblem:
@@ -101,28 +102,27 @@ def h_equation(spec: HEquationSpec) -> NonlinearProblem:
 
     Midpoint nodes mu_i = (i - 1/2)/n; the residual is
     F_i(x) = x_i - (1 - (omega/2n) sum_j mu_i x_j / (mu_i + mu_j))^(-1).
-    The node kernel mu_i / (mu_i + mu_j) is held as its exponential-sum
-    factors A E^T (``_kernel_factors``: exponential-sum columns for the
-    trapezoid nodes t_q > KERNEL_TAU, one Taylor block for the rest), so a
-    problem holds 2 n r doubles with r = 68 at n = 2000, growing like ln n,
-    the residual costs O(n r), and the Jacobian
-    I - diag((omega/2n) (1 - s)^(-2)) A E^T is an
-    ``IdentityMinusLowRankJacobian``, solved through an r x r matrix.  The
-    recommended start is the vector of ones.  For omega = 1 the Jacobian at
-    the solution has a one-dimensional (numerical) null space; use
-    ``with_ground_truth`` to attach it.
+    The node kernel mu_i / (mu_i + mu_j) is held as diag(mu) E M E^T
+    (``_kernel_factors``: exponential-sum columns for the trapezoid nodes
+    t_q > KERNEL_TAU, one Taylor block for the rest), so a problem holds
+    n r + r^2 doubles with r = 68 at n = 2000, growing like ln n, the
+    residual costs O(n r), and the Jacobian I - diag(w) E M E^T with
+    w = (omega/2n) mu (1 - s)^(-2) is an ``IdentityMinusLowRankJacobian``,
+    solved through an r x r matrix.  The recommended start is the vector of
+    ones.  For omega = 1 the Jacobian at the solution has a one-dimensional
+    (numerical) null space; use ``with_ground_truth`` to attach it.
     """
     n, omega = spec.n, spec.omega
-    coef = omega / (2.0 * n)
-    a, e = _kernel_factors(n)
+    cmu = omega / (2.0 * n) * _nodes(n)
+    e, m = _kernel_factors(n)
 
     def residual(x):
-        s = coef * (a @ (e.T @ x))
+        s = cmu * (e @ (m @ (e.T @ x)))
         return x - 1.0 / (1.0 - s)
 
     def jacobian(x):
-        s = coef * (a @ (e.T @ x))
-        return IdentityMinusLowRankJacobian((coef * (1.0 - s) ** -2)[:, None] * a, e)
+        s = cmu * (e @ (m @ (e.T @ x)))
+        return IdentityMinusLowRankJacobian(cmu * (1.0 - s) ** -2, e, m)
 
     return NonlinearProblem(
         name=f"heq_n{n}_w{omega:g}",

@@ -52,7 +52,6 @@ class SafeguardDecision:
 
     lam: float
     took_newton_step: bool
-    beta: float
 
 
 def anderson_combine(x_k, x_km1, w_next, w_prev, gamma: float) -> np.ndarray:
@@ -75,7 +74,7 @@ def gamma_safeguard(
     """
     beta = r * w_next_norm / w_prev_norm
     if gamma == 0.0 or gamma >= 1.0:
-        return SafeguardDecision(lam=1.0, took_newton_step=True, beta=beta)
+        return SafeguardDecision(lam=1.0, took_newton_step=True)
     lam = 1.0
     if abs(gamma) / abs(1.0 - gamma) > beta:
         if gamma > 0.0:
@@ -88,7 +87,7 @@ def gamma_safeguard(
                 lam = cand
         while lam < 1.0 and abs(lam * gamma) / abs(1.0 - lam * gamma) > beta + 1e-12:
             lam = math.nextafter(lam, 0.0)
-    return SafeguardDecision(lam=lam, took_newton_step=False, beta=beta)
+    return SafeguardDecision(lam=lam, took_newton_step=False)
 
 
 # Armijo constants on the merit g(x) = ||f(x)||^2.  A Newton-Anderson step at

@@ -292,10 +292,10 @@ class TestLowRankAgainstDense:
             assert _rel_err(jac.solve(v), dense.solve(v)) <= 1e-12
 
     def test_singular_in_both_classes(self):
-        # U = E = e_1 makes J = I - e_1 e_1^T, whose first column is zero
+        # w = 1, E = e_1 and M = 1 make J = I - e_1 e_1^T, whose first column is zero
         e1 = np.zeros((3, 1))
         e1[0, 0] = 1.0
-        low = IdentityMinusLowRankJacobian(e1, e1)
+        low = IdentityMinusLowRankJacobian(np.ones(3), e1, np.ones((1, 1)))
         for jac in (low, DenseJacobian(low.to_dense())):
             with pytest.raises(SingularMatrix):
                 jac.solve(np.ones(3))
@@ -311,10 +311,12 @@ class TestLowRankAgainstDense:
             assert abs(jac.max_abs() - dense) <= 4 * EPS * dense
 
     def test_nan_factor_entry_gives_nan_max_abs(self):
-        # the NaN row lies in the second row block, beside larger finite entries
-        u = np.full((600, 2), -1.0)
-        u[400, 1] = np.nan
-        assert np.isnan(IdentityMinusLowRankJacobian(u, np.ones((600, 2))).max_abs())
+        # a NaN weight makes one NaN row: it lies in the second row block,
+        # beside larger finite entries
+        w = np.ones(600)
+        w[400] = np.nan
+        low = IdentityMinusLowRankJacobian(w, np.ones((600, 2)), -np.eye(2))
+        assert np.isnan(low.max_abs())
 
     def test_max_abs_memory_budget(self):
         n = 2000
@@ -323,8 +325,16 @@ class TestLowRankAgainstDense:
         assert _peak_bytes(jac.max_abs) < 0.5 * n * n * 8
 
     def test_factor_shapes_must_agree(self):
+        for w, e, m in [(np.ones(2), np.ones((3, 2)), np.eye(2)),
+                        (np.ones(3), np.ones((3, 2)), np.eye(3)),
+                        (np.ones(3), np.ones(3), np.eye(1))]:
+            with pytest.raises(ValueError):
+                IdentityMinusLowRankJacobian(w, e, m)
+
+    def test_negative_weight_rejected(self):
+        # the Woodbury Gram matrix is formed from sqrt(w) E
         with pytest.raises(ValueError):
-            IdentityMinusLowRankJacobian(np.ones((3, 2)), np.ones((3, 1)))
+            IdentityMinusLowRankJacobian(np.array([1.0, -1e-300, 1.0]), np.ones((3, 2)), np.eye(2))
 
 
 class TestStructuredSolveAgainstReference:

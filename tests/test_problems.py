@@ -48,20 +48,21 @@ def _reference_h_equation(n, omega, x, chunk=512):
 
 
 def _worst_sampled_kernel_error(n):
-    """Largest relative error of A E^T over 10^5 random kernel entries at n.
+    """Largest relative error of diag(mu) E M E^T over 10^5 random kernel
+    entries at n.
 
     The dense check at n = 10^4 would form 800 MB arrays, so the entries are
     formed in chunks: 2 x 10^4 gathered rows of r ~ 80 doubles (13 MB) at a
     time.
     """
     samples, chunk = 100_000, 10_000
-    a, e = _kernel_factors(n)
+    e, m = _kernel_factors(n)
     mu = (np.arange(1, n + 1) - 0.5) / n
     i, j = np.random.default_rng(n).integers(0, n, size=(2, samples))
     worst = 0.0
     for lo in range(0, samples, chunk):
         rows, cols = i[lo:lo + chunk], j[lo:lo + chunk]
-        entries = np.einsum("sq,sq->s", a[rows], e[cols])
+        entries = np.einsum("sq,sq->s", mu[rows, None] * (e[rows] @ m), e[cols])
         kernel = mu[rows] / (mu[rows] + mu[cols])
         worst = max(worst, float(np.max(np.abs(entries - kernel) / kernel)))
     return worst
@@ -150,24 +151,40 @@ class TestHEquation:
     def test_kernel_factors_match_dense_kernel(self, n):
         # a kernel error of 5.6e-9 (step h = 0.45) already loses the omega = 1
         # counts, so the factored kernel is held to a few ulps entrywise
-        a, e = _kernel_factors(n)
+        e, m = _kernel_factors(n)
         mu = (np.arange(1, n + 1) - 0.5) / n
         kernel = mu[:, None] / (mu[:, None] + mu[None, :])
-        assert np.max(np.abs(a @ e.T - kernel) / kernel) <= 2e-15
+        assert np.max(np.abs((mu[:, None] * (e @ m)) @ e.T - kernel) / kernel) <= 2e-15
 
     @pytest.mark.parametrize("n, rank", [(500, 63), (2000, 68), (10_000, 75)])
     def test_kernel_factor_rank(self, n, rank):
         # 14 Taylor columns stand in for the 141 trapezoid nodes t_q <= 0.2;
         # a return to the full exponential sum (r = 190 / 195 / 202) fails here
-        a, e = _kernel_factors(n)
-        assert a.shape == e.shape == (n, rank)
+        e, m = _kernel_factors(n)
+        assert e.shape == (n, rank)
+        assert m.shape == (rank, rank)
 
     def test_kernel_factors_match_sampled_kernel_entries_at_ten_thousand(self):
         assert _worst_sampled_kernel_error(10_000) <= 2e-15
 
     def test_kernel_factors_match_sampled_kernel_entries_at_hundred_thousand(self):
-        # the two factors take 2 x 10^5 x 84 doubles, 134 MB
+        # the factor E takes 10^5 x 84 doubles, 67 MB
         assert _worst_sampled_kernel_error(100_000) <= 2e-15
+
+    def test_problem_holds_one_kernel_factor(self):
+        # mu, E (n x r) and M (r x r); a second n x r factor beside E, as
+        # the problem held before, would retain 2 n r doubles
+        import tracemalloc
+
+        n = 2000
+        tracemalloc.start()
+        try:
+            p = h_equation(HEquationSpec(n=n))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        r = _kernel_factors(n)[0].shape[1]
+        assert p.dim == n and retained < 1.5 * n * r * 8
 
     @pytest.mark.parametrize("n", [1000, 2500])
     def test_newton_step_memory_budget(self, n):
@@ -362,13 +379,31 @@ def _registry_points(p, rng):
     return points + [np.where(rng.random(p.dim) < 0.5, -1e200, 1e200)]
 
 
-def _numpy_scalars(x):
-    """x as an object array of np.float64 elements, which its ``tolist()``
+def _numpy_scalars(x, scalar=np.float64):
+    """x as an object array of ``scalar`` elements, which its ``tolist()``
     returns as they are (``x.astype(object)`` would hold Python floats)."""
     out = np.empty(len(x), dtype=object)
-    out[:] = list(x)
-    assert all(type(v) is np.float64 for v in out.tolist())
+    out[:] = [scalar(v) for v in x]
+    assert all(type(v) is scalar for v in out.tolist())
     return out
+
+
+class _Factor(np.float64):
+    """An np.float64 that carries the entries of x multiplied into it; a
+    product in which one entry meets itself, x * x or c * x * x, raises."""
+
+    def __new__(cls, value, entries=None):
+        out = super().__new__(cls, value)
+        out.entries = frozenset({id(out)}) if entries is None else entries
+        return out
+
+    def __mul__(self, other):
+        seen = getattr(other, "entries", frozenset())
+        if self.entries & seen:
+            raise AssertionError("a square by multiplication, not the scalar's power")
+        return _Factor(float(self) * float(other), self.entries | seen)
+
+    __rmul__ = __mul__
 
 
 class TestRegistryFormulas:
@@ -387,6 +422,16 @@ class TestRegistryFormulas:
             assert f.dtype == f_ref.dtype == jm.dtype == jm_ref.dtype == np.float64
             assert f.tobytes() == f_ref.tobytes(), x
             assert jm.tobytes() == jm_ref.tobytes(), x
+
+    @pytest.mark.parametrize("name", [p.name for p in registry()])
+    def test_no_square_by_multiplication(self, name):
+        # x * x is not pow's square to the ulp, and the reference above runs
+        # the same formula, so it cannot see one; a _Factor entry can
+        p = registry_entry(name)
+        for x in _registry_points(p, np.random.default_rng(42))[:3]:
+            with np.errstate(all="ignore"):
+                p.residual(_numpy_scalars(x, _Factor))
+                p.jacobian(_numpy_scalars(x, _Factor))
 
     @pytest.mark.parametrize("name", [p.name for p in registry()])
     def test_overflowing_start_ends_nonfinite(self, name):
