@@ -4,25 +4,26 @@ Three Jacobian representations are supported: dense arrays, an upper
 bidiagonal band held as two arrays (diagonal and superdiagonal), and an
 identity minus a weighted rank-r product, I - diag(w) E M E^T, held as an
 n-vector w, one n x r factor E and an r x r core M.  Each class is the
-only home of its format, its solve included; solvers only rely on the common
-``matvec``/``solve`` interface.
+only home of its format, its solve included.  The solvers rely on
+``matvec``/``solve``, plus ``to_dense`` through ``damped_normal_solve``.
 
-One-pool rule: n-scale BLAS-3 and LAPACK calls go through ``blas`` and
-``lapack`` below, never numpy's ``@``.  numpy bundles its own OpenBLAS with
-its own thread pool, and on a 2-core machine a scipy call that follows a
-numpy BLAS-3 call runs up to twice as slow: handing the Woodbury capacitance
-from one pool to the other doubled the time of the H-equation's
-Newton-Anderson cells at n = 2000, and a numpy J^T J before the Cholesky
-factor did the same to that factor in projected Levenberg-Marquardt.
+Every BLAS and LAPACK call of nasolve is made here, by four rules.  One
+pool: n-scale BLAS-3 and LAPACK calls go through ``blas`` and ``lapack``
+below, never numpy's ``@``; numpy bundles its own OpenBLAS with its own
+thread pool, and on a 2-core machine a scipy call that follows a numpy
+BLAS-3 call ran up to twice as slow (the Woodbury capacitance, and the LM
+Cholesky factor after a numpy J^T J).  Fortran order, which f2py passes
+without a copy: ``to_dense`` forms J in it (``DenseJacobian`` returns the
+array it holds).  A symmetric matrix holds its upper triangle, which
+``dsyrk`` fills and ``dpotrf``/``dpotrs`` read.  An ``info`` < 0, a rejected
+argument, raises ValueError; info > 0 (a zero pivot, a minor not positive
+definite) is answered on the spot.
 
-``blas`` and ``lapack`` are scipy's own f2py wrappers ``scipy.linalg._fblas``
-and ``scipy.linalg._flapack``, loaded without running the ``scipy.linalg``
-package ``__init__``: that ``__init__``, mostly numpy.f2py and numpy.testing
-pulled in by scipy's array-API layer, took 342 of the 493 ms of
-``import nasolve``, which now takes 171 ms (medians of 5 ``python -X
-importtime`` runs on a 2-core Xeon).  The two modules are registered in
-``sys.modules`` under their own names, so a later ``import scipy.linalg``
-reuses them and ``scipy.linalg.lapack.dpotrf is lapack.dpotrf``.
+``blas`` and ``lapack`` are scipy's f2py wrappers ``scipy.linalg._fblas`` and
+``_flapack``, loaded without the ``scipy.linalg`` package ``__init__``, which
+took 342 of the 493 ms of ``import nasolve`` (now 171 ms; medians of 5
+``python -X importtime`` runs on a 2-core Xeon).  A later ``import
+scipy.linalg`` reuses them: ``scipy.linalg.lapack.dpotrf is lapack.dpotrf``.
 """
 
 from __future__ import annotations
@@ -189,9 +190,9 @@ class UpperBidiagonalJacobian(JacobianMatrix):
         return x
 
     def to_dense(self):
-        m = np.diag(self.diag)
-        m.flat[1 :: self.n + 1] += self.superdiag
-        return m
+        m = np.diag(self.diag)  # lower bidiagonal J^T, so m.T is J in Fortran order
+        m.flat[self.n :: self.n + 1] += self.superdiag
+        return m.T
 
     def max_abs(self):
         return float(np.maximum(_max_abs(self.diag), _max_abs(self.superdiag)))
@@ -226,9 +227,15 @@ class IdentityMinusLowRankJacobian(JacobianMatrix):
         """
         b = np.asarray(b, dtype=float)
         # G and C by scipy's dsyrk and dgemm, in the OpenBLAS that then factors
-        # C (the one-pool rule above).  dsyrk takes the transpose, a Fortran-
-        # ordered view, without a copy, and fills the upper triangle of G only.
-        gram = blas.dsyrk(1.0, (self.e * np.sqrt(self.w)[:, None]).T)
+        # C (the one-pool rule above).  G accumulates one dsyrk per block of
+        # 4096 rows of sqrt(w) o E, with beta = 1, so no n x r array is formed;
+        # dsyrk takes the transposed block, a Fortran-ordered view, without a
+        # copy, and fills the upper triangle of G only.
+        sqrt_w, rows = np.sqrt(self.w)[:, None], 4096
+        gram = np.zeros(self.m.shape, order="F")
+        for i in range(0, self.n, rows):
+            blas.dsyrk(1.0, (self.e[i:i + rows] * sqrt_w[i:i + rows]).T,
+                       beta=1.0, c=gram, overwrite_c=1)
         gram += np.triu(gram, 1).T
         cap = blas.dgemm(-1.0, self.m, gram, beta=1.0,
                          c=np.eye(self.m.shape[0], order="F"), overwrite_c=1)
@@ -257,6 +264,32 @@ class IdentityMinusLowRankJacobian(JacobianMatrix):
             block.flat[i::n + 1] += 1.0  # the entries (j, i + j) of I
             peaks.append(_max_abs(block))
         return float(np.max(peaks)) if peaks else 0.0
+
+
+def damped_normal_solve(jac: JacobianMatrix, f: np.ndarray, mus) -> tuple[np.ndarray, np.ndarray | None]:
+    """(J^T f, d): d solves (J^T J + mu I) d = -J^T f for the first mu in
+    ``mus`` whose ``dpotrf`` succeeds, and is None if none does.
+
+    J^T f is one ``dgemv`` and J^T J one ``dsyrk`` on ``jac.to_dense()``,
+    which is dropped before the first factor copy, so at most two n x n
+    arrays are alive at once.
+    """
+    a = jac.to_dense()
+    jtf = blas.dgemv(1.0, a, f, trans=1)
+    normal = blas.dsyrk(1.0, a, trans=1)
+    del a
+    for mu in mus:
+        c = normal.copy(order="F")
+        c.flat[:: jac.n + 1] += mu
+        c, info = lapack.dpotrf(c, clean=0, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"dpotrf rejected argument {-info}")
+        if info == 0:
+            d, info = lapack.dpotrs(c, -jtf)
+            if info < 0:
+                raise ValueError(f"dpotrs rejected argument {-info}")
+            return jtf, d
+    return jtf, None
 
 
 def lstsq_gamma(w_next: np.ndarray, w_prev: np.ndarray) -> float | None:

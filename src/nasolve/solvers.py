@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig
 from .diagnostics import error_recorder, theta_gain
-from .linalg import SingularMatrix, blas, lapack, lstsq_gamma, norm2
+from .linalg import SingularMatrix, damped_normal_solve, lstsq_gamma, norm2
 
 
 class MethodId(str, Enum):
@@ -257,52 +257,30 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, method: Method
     return step
 
 
-MU_FLOOR = 1e-16  # keeps the regularized normal equations positive definite
-# far from the root the step must stay near Gauss-Newton or large residuals
-# over-damp it into stagnation; full ||f||^2 damping returns via the retry
-# ladder when conditioning requires it
+# damping ladder: MU_SCALE ||f||^2 (at least MU_FLOOR), then ||f||^2, then 1;
+# far from the root the first rung must stay near Gauss-Newton, or large
+# residuals over-damp the step into stagnation
+MU_FLOOR = 1e-16
 MU_SCALE = 1e-8
 
 
 def _projected_lm_step(p: NonlinearProblem, project):
     """Step function of projected Levenberg-Marquardt for _drive.
 
-    Each step solves (J^T J + mu I) d = -J^T f with mu proportional to
-    ||f||^2 and projects the candidate onto the box.  When the regularized
-    normal equations are still numerically singular the solve retries with
-    full ||f||^2 damping.  The candidate is accepted as an LM step when it
-    cuts ||f|| by LS_TRIGGER; otherwise an Armijo search with the classical
-    halving schedule runs along the projected direction, and if that direction
-    is not a descent direction a projected gradient step is taken instead.
+    Each step takes d from linalg.damped_normal_solve, (J^T J + mu I) d =
+    -J^T f at the first rung of the damping ladder that factors, and projects
+    the candidate x + d onto the box.  The candidate is accepted as an LM step
+    when it cuts ||f|| by LS_TRIGGER; otherwise an Armijo search with the
+    classical halving schedule runs along the projected direction.  If no
+    rung factors, or that direction is not a descent direction, a projected
+    gradient step is taken instead.
     """
 
     def step(k, x, fx, res, residual):
-        # scipy's BLAS, the pool dpotrf runs in (linalg's one-pool rule);
-        # dsyrk fills only the upper triangle, the one dpotrf/dpotrs read
-        jac = p.jacobian(x).to_dense()
-        jtf = blas.dgemv(1.0, jac, fx, trans=1)
-        normal = blas.dsyrk(1.0, jac, trans=1)
-        del jac  # not read again: free it before the Cholesky copies
-        grad = 2.0 * jtf
-        rhs = -jtf
         g0 = res * res
-        # the subproblem matrix is positive definite for mu > 0, so factor by
-        # Cholesky and bump the damping if conditioning defeats it numerically
-        d = None
-        for mu in (max(MU_SCALE * res * res, MU_FLOOR), res * res, 1.0):
-            a = normal.copy(order="F")  # Fortran order: dpotrf factors it in place
-            a.flat[:: p.dim + 1] += mu
-            c, info = lapack.dpotrf(a, clean=0, overwrite_a=1)
-            if info < 0:
-                raise ValueError(f"dpotrf rejected argument {-info}")
-            if info == 0:  # info > 0: a leading minor is not positive definite
-                d, info = lapack.dpotrs(c, rhs)
-                if info < 0:
-                    raise ValueError(f"dpotrs rejected argument {-info}")
-                break
-
-        ls_evals = 0
-        kind = "projected_gradient"
+        jtf, d = damped_normal_solve(p.jacobian(x), fx, (max(MU_SCALE * g0, MU_FLOOR), g0, 1.0))
+        grad = 2.0 * jtf
+        kind, ls_evals = "projected_gradient", 0
         if d is not None:
             cand = project(x + d)
             f_cand = residual(cand)
@@ -314,9 +292,7 @@ def _projected_lm_step(p: NonlinearProblem, project):
                 slope = float(grad @ direction)
                 if slope < 0.0:
                     kind = "lm_linesearch"
-                    x_new, f_new, ls_evals = _armijo(
-                        residual, x, direction, g0, slope, 0.5, 0.5, 30
-                    )
+                    x_new, f_new, ls_evals = _armijo(residual, x, direction, g0, slope, 0.5, 0.5, 30)
         if kind == "projected_gradient":
             # backtracked step along the projected steepest-descent arc
             x_new, f_new, ls_evals = _backtrack(
@@ -325,11 +301,8 @@ def _projected_lm_step(p: NonlinearProblem, project):
                 lambda t, trial: g0 + LS_DAMPING * float(grad @ (trial - x)),
                 1.0, 0.5, 60,
             )
-
-        rec = IterationRecord(
-            k=k, res_norm=res, step_norm=norm2(x_new - x),
-            step_kind=kind, ls_evals=ls_evals,
-        )
+        rec = IterationRecord(k=k, res_norm=res, step_norm=norm2(x_new - x),
+                              step_kind=kind, ls_evals=ls_evals)
         return rec, x_new, f_new, None
 
     return step

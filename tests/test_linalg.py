@@ -20,6 +20,9 @@ from nasolve.linalg import (
     IdentityMinusLowRankJacobian,
     SingularMatrix,
     UpperBidiagonalJacobian,
+    blas,
+    damped_normal_solve,
+    lapack,
     lstsq_gamma,
     norm2,
 )
@@ -335,6 +338,129 @@ class TestLowRankAgainstDense:
         # the Woodbury Gram matrix is formed from sqrt(w) E
         with pytest.raises(ValueError):
             IdentityMinusLowRankJacobian(np.array([1.0, -1e-300, 1.0]), np.ones((3, 2)), np.eye(2))
+
+    def test_blocked_gram_solve_at_scale(self):
+        # n = 30000 takes seven full 4096-row Gram blocks and a partial one;
+        # matvec forms no Gram matrix, so the residual checks the blocks.  One
+        # block is 0.14 of an n x r array of sqrt(w) o E, which the peak
+        # shows was not formed
+        n = 30000
+        p = h_equation(HEquationSpec(n=n, omega=1.0))
+        rng = np.random.default_rng(30)
+        jac = p.jacobian(1.0 + rng.random(n))
+        v = rng.standard_normal(n)
+        x = jac.solve(v)
+        assert norm2(jac.matvec(x) - v) <= 1e-12 * norm2(v)
+        assert _peak_bytes(lambda: jac.solve(v)) < 0.25 * n * jac.e.shape[1] * 8
+
+
+def _numpy_dense(jac):
+    """J formed by numpy from the class's own arrays, not by to_dense."""
+    if isinstance(jac, UpperBidiagonalJacobian):
+        return np.diag(jac.diag) + np.diag(jac.superdiag, 1)
+    if isinstance(jac, IdentityMinusLowRankJacobian):
+        return np.eye(jac.n) - (jac.w[:, None] * (jac.e @ jac.m)) @ jac.e.T
+    return jac.a
+
+
+def _normal_reference(jac, f, mu):
+    """(J^T f, d) by numpy's @ and np.linalg.solve: the reference for
+    damped_normal_solve."""
+    a = _numpy_dense(jac)
+    jtf = a.T @ f
+    return jtf, np.linalg.solve(a.T @ a + mu * np.eye(jac.n), -jtf)
+
+
+def _ladder(f):
+    """The damping ladder proj_lm passes at residual f."""
+    from nasolve.solvers import MU_FLOOR, MU_SCALE
+
+    g0 = norm2(f) ** 2
+    return (max(MU_SCALE * g0, MU_FLOOR), g0, 1.0)
+
+
+def _regular_case(kind):
+    """(J, f) at a start point, where J is well conditioned."""
+    if kind == "dense":
+        rng = np.random.default_rng(60)
+        return DenseJacobian(rng.standard_normal((60, 60))), rng.standard_normal(60)
+    p = (multipoly(MultipolySpec(n=60, k=3)) if kind == "banded"
+         else h_equation(HEquationSpec(n=60, omega=1.0)))
+    return p.jacobian(p.start), p.residual(p.start)
+
+
+# rank-one J with entries 1e6 (1e6 1 1^T but for the banded class, whose
+# second row is zero), f = ones(2): at the first rung mu ~ 2e-8 is lost to
+# the rounding of J^T J, which dpotrf then finds not positive definite; the
+# second rung mu ~ 2 factors
+RANK_ONE = {
+    "dense": DenseJacobian(np.full((2, 2), 1e6)),
+    "banded": UpperBidiagonalJacobian(np.array([1e6, 0.0]), np.array([1e6])),
+    "low_rank": IdentityMinusLowRankJacobian(np.ones(2), np.eye(2), np.eye(2) - np.full((2, 2), 1e6)),
+}
+
+
+class TestDampedNormalSolve:
+    """damped_normal_solve against numpy's a.T @ f and
+    np.linalg.solve(a.T @ a + mu I, -a.T @ f), on each class's Jacobian
+    densified by numpy, for each outcome: the first rung factors, a later
+    rung does, none does.  Only rounding may differ."""
+
+    @pytest.mark.parametrize("kind", ["dense", "banded", "low_rank"])
+    def test_first_rung(self, kind):
+        jac, f = _regular_case(kind)
+        mus = _ladder(f)
+        jtf, d = damped_normal_solve(jac, f, mus)
+        jtf_ref, d_ref = _normal_reference(jac, f, mus[0])
+        np.testing.assert_allclose(jtf, jtf_ref, rtol=1e-12, atol=1e-12 * norm2(jtf_ref))
+        assert _rel_err(d, d_ref) <= 1e-9
+
+    @pytest.mark.parametrize("kind", RANK_ONE)
+    def test_later_rung(self, kind):
+        jac, f = RANK_ONE[kind], np.ones(2)
+        mus = _ladder(f)  # test_no_rung: mus[0] alone factors at no rung
+        jtf, d = damped_normal_solve(jac, f, mus)
+        jtf_ref, d_ref = _normal_reference(jac, f, mus[1])
+        np.testing.assert_array_equal(jtf, jtf_ref)
+        # J^T J + mu I has condition number ~ 1e12, so the two solves agree to
+        # about cond * eps, while d solves the damped equations to rounding
+        assert _rel_err(d, d_ref) <= 1e-3
+        a = _numpy_dense(jac)
+        damped = a.T @ a + mus[1] * np.eye(2)
+        assert norm2(damped @ d + jtf) <= 4 * EPS * np.linalg.norm(damped, 2) * norm2(d)
+
+    @pytest.mark.parametrize("kind", RANK_ONE)
+    def test_no_rung(self, kind):
+        jac, f = RANK_ONE[kind], np.ones(2)
+        jtf, d = damped_normal_solve(jac, f, _ladder(f)[:1])
+        np.testing.assert_array_equal(jtf, _normal_reference(jac, f, 1.0)[0])
+        assert d is None
+
+    def test_each_rung_factors_normal_plus_mu_identity(self, monkeypatch):
+        # every matrix dpotrf factors is dsyrk's J^T J (upper triangle, zeros
+        # below) plus mu * np.eye, bit for bit; the rank-one toy takes two rungs
+        dpotrf = lapack.dpotrf
+        factored = []
+
+        def recording_dpotrf(a, **kwargs):
+            factored.append(a.copy())  # before dpotrf overwrites it
+            return dpotrf(a, **kwargs)
+
+        monkeypatch.setattr(lapack, "dpotrf", recording_dpotrf)
+        for (jac, f), rungs in ((_regular_case("low_rank"), 1), ((RANK_ONE["dense"], np.ones(2)), 2)):
+            mus = _ladder(f)
+            factored.clear()
+            assert damped_normal_solve(jac, f, mus)[1] is not None
+            normal = blas.dsyrk(1.0, jac.to_dense(), trans=1)
+            assert len(factored) == rungs
+            for a, mu in zip(factored, mus):
+                np.testing.assert_array_equal(a, normal + mu * np.eye(jac.n))
+
+    @pytest.mark.parametrize("kind", ["dense", "banded", "low_rank"])
+    def test_to_dense_in_fortran_order_but_dense(self, kind):
+        # the order f2py passes to dgemv and dsyrk without a copy
+        jac, _ = _regular_case(kind)
+        assert jac.to_dense().flags.f_contiguous == (kind != "dense")
 
 
 class TestStructuredSolveAgainstReference:

@@ -1,13 +1,16 @@
+import inspect
+import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.blas
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nasolve import solvers
 from nasolve.core import STATUSES, STEP_KINDS, NonlinearProblem, SolverConfig
 from nasolve.linalg import (
     DenseJacobian,
@@ -424,81 +427,61 @@ class TestProjectedLm:
         }
         assert sum(rec.ls_evals for rec in out.trace) == 49
 
-    def test_regularisation_bit_identical_to_adding_mu_times_identity(self, monkeypatch):
-        # reference run: every Cholesky attempt factors normal + mu * I built
-        # with np.eye, mu taken from the same damping ladder; normal is the
-        # step's own dsyrk product (upper triangle, zeros below)
-        from nasolve.solvers import MU_FLOOR, MU_SCALE
-
-        p = h_equation(HEquationSpec(n=150, omega=1.0))
-        fast = solve(p, MethodId.proj_lm, SolverConfig())
-
-        state = {}
-
-        def jacobian(x):
-            jac = p.jacobian(x)
-            dense = jac.to_dense()
-            res = float(np.linalg.norm(p.residual(x)))
-            state.update(normal=scipy.linalg.blas.dsyrk(1.0, dense, trans=1), attempt=0,
-                         ladder=(max(MU_SCALE * res * res, MU_FLOOR), res * res, 1.0))
-            return jac
-
-        # the handle the LM step calls; a count of 0 would make the test vacuous
-        dpotrf = lapack.dpotrf
-        calls = Counter()
-
-        def dpotrf_eye(a, **kwargs):
-            calls["dpotrf"] += 1
-            mu = state["ladder"][state["attempt"]]
-            state["attempt"] += 1
-            eye_form = state["normal"] + mu * np.eye(p.dim)
-            assert np.array_equal(a, eye_form)
-            return dpotrf(eye_form, **kwargs)
-
-        monkeypatch.setattr(lapack, "dpotrf", dpotrf_eye)
-        ref = solve(replace(p, jacobian=jacobian), MethodId.proj_lm, SolverConfig())
-        assert calls["dpotrf"] > 0
-        assert ref.iterations == fast.iterations > 0
-        assert repr(fast.trace) == repr(ref.trace)
-        assert fast.final_res == ref.final_res
-        np.testing.assert_array_equal(fast.x, ref.x)
-
     @pytest.mark.parametrize("case", [0.5, 1.0] + [p.name for p in registry()])
     def test_scipy_normal_equations_match_numpy_reference(self, case, monkeypatch):
-        # reference run: J^T f, J^T J and -W E M E^T by numpy's @, as the step
-        # formed them before it moved to scipy's dgemv, dsyrk and dgemm; only
-        # rounding may differ.  A float case is the H-equation's omega.
+        # reference run: the damped normal equations by numpy, J formed from
+        # the class's own arrays, J^T f and J^T J by @, the rung taken where
+        # np.linalg.cholesky succeeds, d by np.linalg.solve; only rounding
+        # may differ.  A float case is the H-equation's omega.
         if isinstance(case, float):
             p = h_equation(HEquationSpec(n=300, omega=case))
         else:
             p = registry_entry(case)
         fast = solve(p, MethodId.proj_lm, SolverConfig())
-
-        def numpy_to_dense(self):
-            m = (self.w[:, None] * (self.e @ self.m)) @ self.e.T
-            np.negative(m, out=m)
-            m.flat[:: self.n + 1] += 1.0
-            return m
-
         calls = Counter()
 
-        def numpy_dgemv(alpha, a, x, trans):
-            calls["dgemv"] += 1
-            return a.T @ x
+        def numpy_damped_normal_solve(jac, f, mus):
+            calls["routine"] += 1
+            if isinstance(jac, IdentityMinusLowRankJacobian):
+                a = np.eye(jac.n) - (jac.w[:, None] * (jac.e @ jac.m)) @ jac.e.T
+            else:
+                a = jac.to_dense()
+            jtf = a.T @ f
+            for mu in mus:
+                damped = a.T @ a + mu * np.eye(jac.n)
+                try:
+                    np.linalg.cholesky(damped)
+                except np.linalg.LinAlgError:
+                    continue
+                return jtf, np.linalg.solve(damped, -jtf)
+            return jtf, None
 
-        def numpy_dsyrk(alpha, a, trans):
-            calls["dsyrk"] += 1
-            return a.T @ a
-
-        # the handles the LM step calls; a count of 0 would make the test vacuous
-        monkeypatch.setattr(IdentityMinusLowRankJacobian, "to_dense", numpy_to_dense)
-        monkeypatch.setattr(blas, "dgemv", numpy_dgemv)
-        monkeypatch.setattr(blas, "dsyrk", numpy_dsyrk)
+        # the name the LM step calls; a count of 0 would make the test vacuous
+        monkeypatch.setattr(solvers, "damped_normal_solve", numpy_damped_normal_solve)
         ref = solve(p, MethodId.proj_lm, SolverConfig())
-        assert calls["dgemv"] > 0 and calls["dsyrk"] > 0
+        assert calls["routine"] == fast.iterations > 0
         assert (fast.status, fast.iterations, fast.f_evals) == (ref.status, ref.iterations, ref.f_evals)
         assert [rec.step_kind for rec in fast.trace] == [rec.step_kind for rec in ref.trace]
         np.testing.assert_allclose(fast.x, ref.x, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("make", [
+        lambda: h_equation(HEquationSpec(n=1000, omega=1.0)),
+        lambda: multipoly(MultipolySpec(n=1000, k=3)),
+    ], ids=["heq", "multipoly"])
+    def test_step_peaks_at_two_dense_arrays(self, make):
+        # damped_normal_solve holds J and J^T J, then J^T J and one factor
+        # copy: were J kept into the copies, or copied by f2py for want of
+        # Fortran order, one step would peak at three n x n arrays
+        p = make()
+        n2 = p.dim * p.dim * 8
+        tracemalloc.start()
+        try:
+            out = solve(p, MethodId.proj_lm, SolverConfig(max_iters=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [rec.step_kind for rec in out.trace] == ["lm"]
+        assert 2 * n2 <= peak < 2.5 * n2
 
     def test_empty_problem_converges_before_any_step(self):
         # _drive stops at ||f|| = 0 before the first step: dgemv rejects an
@@ -556,7 +539,7 @@ def test_proj_lm_class_matches_dense_reference(case, monkeypatch):
     # the reference solve sees each Jacobian as DenseJacobian(to_dense())
     p, jac_class, max_iters, kinds, rung_retry = LM_BRANCH_CASES[case]
     assert type(p.jacobian(p.start)) is jac_class
-    infos = []  # one entry per call of the handle the LM step calls
+    infos = []  # one entry per call of the handle damped_normal_solve calls
     dpotrf = lapack.dpotrf
 
     def recording_dpotrf(a, **kwargs):
@@ -579,8 +562,16 @@ def test_proj_lm_class_matches_dense_reference(case, monkeypatch):
     assert (class_infos[0] > 0 and class_infos[1] == 0) == rung_retry
 
 
+def test_solvers_hold_no_blas_or_lapack():
+    # every BLAS and LAPACK call is made in linalg; the LM step reaches them
+    # only through damped_normal_solve
+    assert [name for name, v in vars(solvers).items() if v is blas or v is lapack] == []
+    routines = r"\b(?:blas|lapack|d(?:gemm|gemv|syrk|potr[fs]|getr[fs]|tbtrs))\b"
+    assert re.findall(routines, inspect.getsource(solvers)) == []
+
+
 class TestCholeskyAgainstScipyWrappers:
-    """The LM step factors a Fortran-order copy in place with
+    """damped_normal_solve factors a Fortran-order copy in place with
     dpotrf(clean=0, overwrite_a=1) and solves with dpotrs, the routines
     cho_factor and cho_solve call, so they must agree bit for bit."""
 
