@@ -4,8 +4,9 @@ Three Jacobian representations are supported: dense arrays, an upper
 bidiagonal band held as two arrays (diagonal and superdiagonal), and an
 identity minus a weighted rank-r product, I - diag(w) E M E^T, held as an
 n-vector w, one n x r factor E and an r x r core M.  Each class is the
-only home of its format, its solve included.  The solvers rely on
-``matvec``/``solve``, plus ``to_dense`` through ``damped_normal_solve``.
+only home of its format, its solve included.  The interface is
+``matvec``, ``solve`` and ``to_dense``; the solvers reach ``to_dense`` only
+through ``damped_normal_solve``.
 
 Every BLAS and LAPACK call of nasolve is made here, by four rules.  One
 pool: n-scale BLAS-3 and LAPACK calls go through ``blas`` and ``lapack``
@@ -76,13 +77,8 @@ def norm2(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _max_abs(a: np.ndarray) -> float:
-    """max|a| with no |a| temporary: NaN when an entry is NaN, 0.0 when empty."""
-    return float(max(a.max(), -a.min())) if a.size else 0.0
-
-
 class JacobianMatrix:
-    """Common interface for the Jacobian representations."""
+    """Common interface for the Jacobian representations: J v, J^{-1} b and J itself."""
 
     n: int
 
@@ -93,10 +89,6 @@ class JacobianMatrix:
         raise NotImplementedError
 
     def to_dense(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def max_abs(self) -> float:
-        """Largest entry magnitude, used as the scale for pivot thresholds."""
         raise NotImplementedError
 
 
@@ -124,7 +116,8 @@ class DenseJacobian(JacobianMatrix):
             return np.empty_like(b)
         lu, piv, _ = lapack.dgetrf(self.a)
         pivot = np.abs(lu.diagonal()).min()
-        threshold = EPS * _max_abs(self.a)  # a NaN entry gives NaN, so no raise
+        # eps * max|A| with no |A| temporary; a NaN entry gives NaN, so no raise
+        threshold = EPS * float(max(self.a.max(), -self.a.min()))
         if pivot <= threshold:
             raise SingularMatrix(f"pivot {pivot:.3e} below threshold {threshold:.3e}")
         x, info = lapack.dgetrs(lu, piv, b)
@@ -134,9 +127,6 @@ class DenseJacobian(JacobianMatrix):
 
     def to_dense(self):
         return self.a
-
-    def max_abs(self):
-        return _max_abs(self.a)
 
 
 class UpperBidiagonalJacobian(JacobianMatrix):
@@ -194,9 +184,6 @@ class UpperBidiagonalJacobian(JacobianMatrix):
         m.flat[self.n :: self.n + 1] += self.superdiag
         return m.T
 
-    def max_abs(self):
-        return float(np.maximum(_max_abs(self.diag), _max_abs(self.superdiag)))
-
 
 class IdentityMinusLowRankJacobian(JacobianMatrix):
     """J = I - diag(w) E M E^T: the H-equation's Jacobian.
@@ -241,29 +228,14 @@ class IdentityMinusLowRankJacobian(JacobianMatrix):
                          c=np.eye(self.m.shape[0], order="F"), overwrite_c=1)
         return b + self.w * (self.e @ DenseJacobian(cap).solve(self.m @ (self.e.T @ b)))
 
-    def _weighted_em(self) -> np.ndarray:
-        """W E M, C-ordered: the transpose of scipy's M^T E^T, which reads the
-        Fortran-ordered view E^T without a copy."""
-        return blas.dgemm(1.0, self.m, self.e.T, trans_a=1).T * self.w[:, None]
-
     def to_dense(self):
-        # -W E M E^T in Fortran order, which dsyrk and dpotrf take without a copy
-        mat = blas.dgemm(-1.0, self._weighted_em().T, self.e.T, trans_a=1)
+        # -W E M E^T in Fortran order, which dsyrk and dpotrf take without a
+        # copy: W E M is the transpose of scipy's M^T E^T, which reads the
+        # Fortran-ordered view E^T without a copy
+        wem = blas.dgemm(1.0, self.m, self.e.T, trans_a=1).T * self.w[:, None]
+        mat = blas.dgemm(-1.0, wem.T, self.e.T, trans_a=1)
         mat.flat[:: self.n + 1] += 1.0
         return mat
-
-    def max_abs(self):
-        # over row blocks of I - W E M E^T; the transposes are Fortran-ordered
-        # views, so f2py copies neither factor.  np.max keeps a NaN.
-        n, rows = self.n, 256
-        wem = self._weighted_em()
-        peaks = []
-        for i in range(0, n, rows):
-            # rows i.. of -W E M E^T, formed as the transpose of -E (W E M)_rows^T
-            block = blas.dgemm(-1.0, self.e.T, wem[i:i + rows].T, trans_a=1).T
-            block.flat[i::n + 1] += 1.0  # the entries (j, i + j) of I
-            peaks.append(_max_abs(block))
-        return float(np.max(peaks)) if peaks else 0.0
 
 
 def damped_normal_solve(jac: JacobianMatrix, f: np.ndarray, mus) -> tuple[np.ndarray, np.ndarray | None]:

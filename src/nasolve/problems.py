@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import NonlinearProblem, SolverConfig
+from .core import NonlinearProblem, SolverConfig, check_count
 from .linalg import EPS, DenseJacobian, IdentityMinusLowRankJacobian, UpperBidiagonalJacobian
 from .solvers import MethodId, solve
 
@@ -33,8 +33,7 @@ class HEquationSpec:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        check_count("n", self.n, 1)
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"need omega in [0,1], got {self.omega}")
 
@@ -45,10 +44,8 @@ class MultipolySpec:
     k: int = 2
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if self.k < 2:
-            raise ValueError(f"need k >= 2, got {self.k}")
+        check_count("n", self.n, 2)
+        check_count("k", self.k, 2)
 
 
 KERNEL_TAU = 0.2  # the Taylor block is at most tau against 1/x >= 1/2: its rounding stays ulps

@@ -1,5 +1,7 @@
 import re
+import tracemalloc
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 
 import nasolve
 from nasolve.core import NonlinearProblem, SolverConfig, validate_problem
-from nasolve.linalg import DenseJacobian
-from nasolve.problems import MultipolySpec, multipoly
+from nasolve.linalg import DenseJacobian, IdentityMinusLowRankJacobian
+from nasolve.problems import HEquationSpec, MultipolySpec, h_equation, multipoly
 from nasolve import solvers
 from nasolve.solvers import MethodId, solve
 
@@ -104,6 +106,47 @@ class TestValidateProblemNaN:
         assert "not annihilated" in violations[0]
 
 
+def test_validation_of_h_equation_forms_no_n_by_r_array(monkeypatch):
+    # the annihilation test takes matvecs only: no max|J(x*)| scan, no to_dense
+    n = 20_000
+    p = h_equation(HEquationSpec(n=n))
+    basis = np.zeros((n, 1))
+    basis[0, 0] = 1.0
+    p = replace(p, known_root=p.start, null_basis=basis)
+    r = p.jacobian(p.start).e.shape[1]
+
+    def no_dense(self):
+        raise AssertionError("validate_problem densified the Jacobian")
+
+    monkeypatch.setattr(IdentityMinusLowRankJacobian, "to_dense", no_dense)
+    tracemalloc.start()
+    try:
+        violations = validate_problem(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * r * 8
+    assert "null_basis column 0 not annihilated" in violations[-1]
+
+
+class TestGroundTruthShapes:
+    """Construction rejects a misshapen known_root or null_basis, which would
+    otherwise broadcast in x - root or fail inside norm2 at diagnosis."""
+
+    @pytest.mark.parametrize("root", [np.zeros(1), np.zeros(51), np.zeros((50, 1)), np.float64(0.0)])
+    def test_known_root_shape_rejected(self, root):
+        p = multipoly(MultipolySpec(n=50, k=3))
+        with pytest.raises(ValueError, match="known_root of shape"):
+            replace(p, known_root=root)
+
+    @pytest.mark.parametrize("basis", [np.eye(50)[:, 49], np.zeros((49, 1)), np.zeros((50, 0)),
+                                       np.zeros((50, 1, 1))])
+    def test_null_basis_shape_rejected(self, basis):
+        p = multipoly(MultipolySpec(n=50, k=3))
+        with pytest.raises(ValueError, match="null_basis of shape"):
+            replace(p, null_basis=basis)
+
+
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
@@ -127,6 +170,12 @@ class TestSolverConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("max_iters", [2.5, 50.0, "50"])
+    def test_non_integral_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="need an integer max_iters"):
+            SolverConfig(max_iters=max_iters)
+        assert SolverConfig(max_iters=np.int64(50)).max_iters == 50
 
 
 def _square_problem():

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -391,6 +392,21 @@ class TestCli:
         assert rc == 2
         assert f"need n >= {least}, got 0" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+
+def _readme_cli_lines() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```$", text, flags=re.M | re.S).group(1)
+    lines = [line.split("#")[0].rstrip() for line in block.splitlines() if line.startswith("nasolve ")]
+    assert lines
+    return lines
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_example_runs(line, tmp_path):
+    argv = shlex.split(line)[1:]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert any(tmp_path.iterdir())
 
 
 def test_write_summary_combines_reports(tmp_path):

@@ -124,6 +124,8 @@ class TestDenseSolveAgainstScipyWrappers:
         np.array([[1.0, 2.0], [2.0, 4.0]]),  # exactly zero pivot: dgetrf info > 0
         np.random.default_rng(5).standard_normal((6, 3))
         @ np.random.default_rng(6).standard_normal((3, 6)),  # rank 3, rounded pivot
+        np.diag([1.0, np.inf]),  # finite pivot 1 against eps * max|A| = inf
+        np.diag([1.0, -np.inf]),
     ])
     def test_singular_raises_the_reference_message(self, a):
         b = np.ones(len(a))
@@ -140,32 +142,16 @@ class TestDenseSolveAgainstScipyWrappers:
         np.testing.assert_array_equal(x, _reference_dense_solve(a, np.ones(4)))
         assert np.isnan(x).any()
 
+    def test_pivot_threshold_memory_budget(self):
+        # dgetrf's LU copy and nothing n x n besides: the threshold forms no |A|
+        n = 1000
+        jac = DenseJacobian(np.random.default_rng(3).standard_normal((n, n)))
+        assert _peak_bytes(lambda: jac.solve(np.ones(n))) < 1.5 * n * n * 8
+
     def test_empty_system(self):
         x = DenseJacobian(np.empty((0, 0))).solve(np.empty(0))
         assert x.shape == (0,) and x.dtype == float
         np.testing.assert_array_equal(x, _reference_dense_solve(np.empty((0, 0)), np.empty(0)))
-
-
-class TestDenseMaxAbs:
-    @pytest.mark.parametrize("a", [
-        np.array([[1.0, -3.0], [2.0, 0.5]]),
-        np.array([[-0.5, 0.25], [0.0, -7.0]]),
-        np.array([[1.0, np.inf], [0.0, 1.0]]),
-        np.array([[1.0, -np.inf], [0.0, 1.0]]),
-        np.zeros((0, 0)),
-    ])
-    def test_matches_abs_max(self, a):
-        expected = float(np.abs(a).max()) if a.size else 0.0
-        assert DenseJacobian(a).max_abs() == expected
-
-    def test_nan_entry_gives_nan(self):
-        assert np.isnan(DenseJacobian(np.array([[1.0, np.nan], [-2.0, 1.0]])).max_abs())
-
-    def test_memory_budget(self):
-        # no n x n |A| temporary
-        n = 1000
-        jac = DenseJacobian(np.random.default_rng(3).standard_normal((n, n)))
-        assert _peak_bytes(jac.max_abs) <= 0.01 * n * n * 8
 
 
 class TestStructuredSolve:
@@ -215,8 +201,8 @@ class TestBandedAgainstDense:
     """UpperBidiagonalJacobian against DenseJacobian(J.to_dense()).
 
     Finite instances are diagonally dominant, so neither solve pivots and
-    the two agree to rounding.  Non-finite instances check matvec and max_abs
-    only: an inf entry makes the dense pivot threshold eps * max|A| infinite,
+    the two agree to rounding.  Non-finite instances check matvec only: an
+    inf entry makes the dense pivot threshold eps * max|A| infinite,
     so the dense solve raises where back substitution does not, and how a NaN
     travels through LU depends on the LAPACK build.
     """
@@ -230,7 +216,6 @@ class TestBandedAgainstDense:
             v = rng.standard_normal(n)
             np.testing.assert_allclose(banded.matvec(v), dense.matvec(v), rtol=1e-12, atol=1e-12)
             assert _rel_err(banded.solve(v), dense.solve(v)) <= 1e-12
-            assert banded.max_abs() == dense.max_abs()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("n", [1, 2, 57])
@@ -252,13 +237,6 @@ class TestBandedAgainstDense:
             v = rng.standard_normal(n)
             # assert_allclose requires NaN and inf in the same places
             np.testing.assert_allclose(banded.matvec(v), dense.matvec(v), rtol=1e-12, atol=1e-12)
-            np.testing.assert_equal(banded.max_abs(), dense.max_abs())
-
-    def test_nan_entry_gives_nan_max_abs(self):
-        # a NaN beside a larger finite entry must not be dropped
-        a = UpperBidiagonalJacobian(np.array([np.nan, 1.0]), np.array([2.0]))
-        assert np.isnan(a.max_abs())
-        assert np.isnan(DenseJacobian(a.to_dense()).max_abs())
 
     def test_to_dense_matches_two_diagonal_sum(self):
         rng = np.random.default_rng(7)
@@ -302,30 +280,6 @@ class TestLowRankAgainstDense:
         for jac in (low, DenseJacobian(low.to_dense())):
             with pytest.raises(SingularMatrix):
                 jac.solve(np.ones(3))
-
-    # the row blocks and the full product may round an entry differently
-    # (BLAS kernels split a dot product by shape), so to a few ulp
-    @pytest.mark.parametrize("n", [1, 300, 2001])
-    def test_max_abs_matches_dense(self, n):
-        p = h_equation(HEquationSpec(n=n, omega=1.0))
-        for x in (p.start, 1.0 + np.random.default_rng(400 + n).random(n)):
-            jac = p.jacobian(x)
-            dense = DenseJacobian(jac.to_dense()).max_abs()
-            assert abs(jac.max_abs() - dense) <= 4 * EPS * dense
-
-    def test_nan_factor_entry_gives_nan_max_abs(self):
-        # a NaN weight makes one NaN row: it lies in the second row block,
-        # beside larger finite entries
-        w = np.ones(600)
-        w[400] = np.nan
-        low = IdentityMinusLowRankJacobian(w, np.ones((600, 2)), -np.eye(2))
-        assert np.isnan(low.max_abs())
-
-    def test_max_abs_memory_budget(self):
-        n = 2000
-        p = h_equation(HEquationSpec(n=n, omega=1.0))
-        jac = p.jacobian(p.start)
-        assert _peak_bytes(jac.max_abs) < 0.5 * n * n * 8
 
     def test_factor_shapes_must_agree(self):
         for w, e, m in [(np.ones(2), np.ones((3, 2)), np.eye(2)),

@@ -210,6 +210,12 @@ class TestHEquation:
         with pytest.raises(ValueError):
             HEquationSpec(n=10, omega=1.5)
 
+    @pytest.mark.parametrize("n", [2.5, 10.0, "10"])
+    def test_non_integral_size_rejected(self, n):
+        with pytest.raises(ValueError, match="need an integer n"):
+            HEquationSpec(n=n)
+        assert HEquationSpec(n=np.int64(10)).n == 10
+
 
 class TestMultipoly:
     def test_zero_is_root_with_singular_jacobian(self):
@@ -277,6 +283,13 @@ class TestMultipoly:
             MultipolySpec(n=1, k=2)
         with pytest.raises(ValueError):
             MultipolySpec(n=5, k=1)
+
+    # k = 2.5 would build multipoly_k2.5_n50, which is not the documented polynomial
+    @pytest.mark.parametrize("kwargs", [{"n": 50, "k": 2.5}, {"n": 50.0, "k": 3}, {"n": 50, "k": "3"}])
+    def test_non_integral_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="need an integer"):
+            MultipolySpec(**kwargs)
+        assert MultipolySpec(n=np.int32(50), k=np.int64(3)).k == 3
 
 
 def _power_inputs():
