@@ -71,8 +71,10 @@ class NonlinearProblem:
         if basis is not None and (basis.ndim != 2 or len(basis) != dim or basis.shape[1] < 1):
             raise ValueError(f"need null_basis of shape ({dim}, m) with m >= 1, got {basis.shape}")
         if self.bounds is not None:
-            lo, hi = self.bounds
-            object.__setattr__(self, "bounds", (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
+            lo, hi = (np.asarray(b, dtype=float) for b in self.bounds)
+            if lo.shape != (dim,) or hi.shape != (dim,):
+                raise ValueError(f"need bounds of shape ({dim},), got {lo.shape} and {hi.shape}")
+            object.__setattr__(self, "bounds", (lo, hi))
 
     @property
     def dim(self) -> int:
@@ -106,10 +108,10 @@ class IterationRecord:
     ``res_norm`` is ||f(x_k)||, ``step_norm`` is ||w_{k+1}||, and the gamma /
     lambda / theta fields describe the extrapolation applied at this step
     (gamma_used = lam * gamma_raw); their defaults are a step with none, as
-    Newton and Levenberg-Marquardt steps are.  A safeguard Newton fallback
-    keeps the raw gamma but records lam = 1 and gamma_used = 0.  The fields
-    are keyword-only, and in order they are the columns of the history files
-    (``lam`` is written ``lambda``).
+    Newton and Levenberg-Marquardt steps are.  ``gamma_raw`` is nonzero only
+    where the step took a least-squares gamma: a safeguard Newton fallback
+    keeps it, with lam = 1 and gamma_used = 0.  The fields are keyword-only,
+    and in order they are the history-file columns (``lam`` is ``lambda``).
     """
 
     k: int
@@ -125,7 +127,7 @@ class IterationRecord:
 
 # Ground truth at iterate x_k of a solve: null = B^T (x_k - x*), range_norm =
 # ||P_R (x_k - x*)||, update = B^T w_k for the Newton update solved for at x_{k-1},
-# gamma = raw lstsq gamma of (w_k, w_{k-1}); None at x_0, after proj_lm, if degenerate.
+# gamma = raw lstsq gamma of (w_k, w_{k-1}); None at x_0, x_1, after proj_lm, if degenerate.
 IterateError = namedtuple("IterateError", "null range_norm update gamma")
 
 

@@ -1,11 +1,11 @@
 """Runtime diagnostics for problems with a known root and null-space basis.
 
-A solve of such a problem records, per iterate, the null coordinates and
-range norm of its error and the null coordinates of the Newton update that
-led to it (``error_recorder``); ``diagnose_run`` reads that record.  The
-curvature term entering the pair-type classification is replaced by the
-second-derivative-free proxy P_N(e + w) - (1/2) P_N e, which is accurate to
-second order in the error.
+A solve of such a problem records ``iterate_error`` per iterate: the null
+coordinates and range norm of its error, the null coordinates of the Newton
+update that led to it, and the step's gamma; ``diagnose_run`` reads that
+record.  The curvature term of the pair-type classification is replaced by
+the second-derivative-free proxy P_N(e + w) - (1/2) P_N e, which is accurate
+to second order in the error.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from enum import Enum
 
 import numpy as np
 
-from .core import IterateError, IterationRecord, NonlinearProblem, SolveOutcome
+from .core import IterateError, NonlinearProblem, SolveOutcome
 from .linalg import lstsq_gamma, norm2
 
 COMPAT_C = 2.0  # step k is compatible if ||P_N e_{k+1}|| <= COMPAT_C * theta_{k+1} * ||w_{k+1}||
 RHO_DOM = 3.0  # a term dominates another when it is larger by this factor
 NOISE_FLOOR = 1e-13  # relative to 1 + ||x*||; smaller null components stay out of the rate fit
-ANDERSON_KINDS = ("anderson", "anderson_linesearch")  # step kinds whose gamma_raw is lstsq_gamma
 
 
 class MissingGroundTruth(Exception):
@@ -167,29 +166,18 @@ def diagnose_run(p: NonlinearProblem, outcome: SolveOutcome) -> DiagnosticsRepor
     return DiagnosticsReport(steps=steps, rate=rate, root_order=order)
 
 
-def error_recorder(p: NonlinearProblem, x0: np.ndarray):
-    """(errors, record) for a solve of p from x0: ``record(x, w, rec)`` appends
-    to ``errors`` the IterateError of iterate x, which the Newton update w led
-    to (None if none did) in the step ``rec`` records, and keeps a reference to
-    w, not a copy, for the next gamma.  An Anderson step's gamma_raw is that
-    gamma already; other steps, and a call without ``rec``, recompute it."""
-    root, basis, errors, last = p.known_root, p.null_basis, [], [None]
-
-    def record(x: np.ndarray, w: np.ndarray | None, rec: IterationRecord | None = None) -> None:
-        e = x - root
-        c = basis.T @ e
-        # e -= P_N e = B c; np.dot: for a one-column basis ``basis @ c`` takes
-        # about six times as long at n = 10^5, same bits
-        e -= np.dot(basis, c)
-        if w is None or last[0] is None:
-            gamma = None
-        elif rec is not None and rec.step_kind in ANDERSON_KINDS:
-            gamma = rec.gamma_raw  # lstsq_gamma(w, last[0]), as the step took it
-        else:
-            gamma = lstsq_gamma(w, last[0])
-        d = None if w is None else basis.T @ w
-        errors.append(IterateError(c, norm2(e), d, gamma))
-        last[0] = w
-
-    record(x0, None)
-    return errors, record
+def iterate_error(p: NonlinearProblem, x: np.ndarray, w: np.ndarray | None = None,
+                  w_prev: np.ndarray | None = None, gamma_raw: float = 0.0) -> IterateError:
+    """The IterateError of iterate x of a solve of p, reached by the step that
+    solved for the Newton update w after w_prev (None where there is none).
+    gamma is None without both updates; else it is the step's gamma_raw if
+    nonzero, as it is where the step took one, and lstsq_gamma(w, w_prev) if 0."""
+    basis = p.null_basis
+    e = x - p.known_root
+    c = basis.T @ e
+    # e -= P_N e = B c; np.dot: for a one-column basis ``basis @ c`` takes
+    # about six times as long at n = 10^5, same bits
+    e -= np.dot(basis, c)
+    gamma = None if w is None or w_prev is None else (gamma_raw or lstsq_gamma(w, w_prev))
+    d = None if w is None else basis.T @ w
+    return IterateError(c, norm2(e), d, gamma)

@@ -16,7 +16,7 @@ BLAS-3 call ran up to twice as slow (the Woodbury capacitance, and the LM
 Cholesky factor after a numpy J^T J).  Fortran order, which f2py passes
 without a copy: ``to_dense`` forms J in it (``DenseJacobian`` returns the
 array it holds).  A symmetric matrix holds its upper triangle, which
-``dsyrk`` fills and ``dpotrf``/``dpotrs`` read.  An ``info`` < 0, a rejected
+``dsyrk`` fills and ``dposv`` reads.  An ``info`` < 0, a rejected
 argument, raises ValueError; info > 0 (a zero pivot, a minor not positive
 definite) is answered on the spot.
 
@@ -24,7 +24,7 @@ definite) is answered on the spot.
 ``_flapack``, loaded without the ``scipy.linalg`` package ``__init__``, which
 took 342 of the 493 ms of ``import nasolve`` (now 171 ms; medians of 5
 ``python -X importtime`` runs on a 2-core Xeon).  A later ``import
-scipy.linalg`` reuses them: ``scipy.linalg.lapack.dpotrf is lapack.dpotrf``.
+scipy.linalg`` reuses them: ``scipy.linalg.lapack.dposv is lapack.dposv``.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ class IdentityMinusLowRankJacobian(JacobianMatrix):
         return b + self.w * (self.e @ DenseJacobian(cap).solve(self.m @ (self.e.T @ b)))
 
     def to_dense(self):
-        # -W E M E^T in Fortran order, which dsyrk and dpotrf take without a
+        # -W E M E^T in Fortran order, which dsyrk and dposv take without a
         # copy: W E M is the transpose of scipy's M^T E^T, which reads the
         # Fortran-ordered view E^T without a copy
         wem = blas.dgemm(1.0, self.m, self.e.T, trans_a=1).T * self.w[:, None]
@@ -240,7 +240,7 @@ class IdentityMinusLowRankJacobian(JacobianMatrix):
 
 def damped_normal_solve(jac: JacobianMatrix, f: np.ndarray, mus) -> tuple[np.ndarray, np.ndarray | None]:
     """(J^T f, d): d solves (J^T J + mu I) d = -J^T f for the first mu in
-    ``mus`` whose ``dpotrf`` succeeds, and is None if none does.
+    ``mus`` whose ``dposv`` succeeds, and is None if none does.
 
     J^T f is one ``dgemv`` and J^T J one ``dsyrk`` on ``jac.to_dense()``,
     which is dropped before the first factor copy, so at most two n x n
@@ -253,13 +253,10 @@ def damped_normal_solve(jac: JacobianMatrix, f: np.ndarray, mus) -> tuple[np.nda
     for mu in mus:
         c = normal.copy(order="F")
         c.flat[:: jac.n + 1] += mu
-        c, info = lapack.dpotrf(c, clean=0, overwrite_a=1)
+        _, d, info = lapack.dposv(c, -jtf, overwrite_a=1)
         if info < 0:
-            raise ValueError(f"dpotrf rejected argument {-info}")
+            raise ValueError(f"dposv rejected argument {-info}")
         if info == 0:
-            d, info = lapack.dpotrs(c, -jtf)
-            if info < 0:
-                raise ValueError(f"dpotrs rejected argument {-info}")
             return jtf, d
     return jtf, None
 

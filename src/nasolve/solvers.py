@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig
-from .diagnostics import error_recorder, theta_gain
+from .diagnostics import iterate_error, theta_gain
 from .linalg import SingularMatrix, damped_normal_solve, lstsq_gamma, norm2
 
 
@@ -154,6 +154,8 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
     for at x (None if it solved for none); it evaluates f only through
     ``residual``, which counts the calls into ``SolveOutcome.f_evals``.  A
     SingularMatrix raised by a step ends the run before that step is recorded.
+    With ground truth, ``SolveOutcome.errors`` holds the iterate_error of x_0
+    and of each step's iterate, given its update, the one before and gamma_raw.
     """
     t0 = time.perf_counter()
     f_evals = 0
@@ -168,7 +170,8 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
     trace: list[IterationRecord] = []
     history = [x.copy()] if keep_history else None
     truth = p.known_root is not None and p.null_basis is not None
-    errors, record = error_recorder(p, x) if truth else (None, None)
+    errors = [iterate_error(p, x)] if truth else None
+    w_prev = None
     for k in range(cfg.max_iters + 1):
         res = norm2(fx)
         status = _stop_status(res, cfg.tol, at_cap=k == cfg.max_iters)
@@ -182,8 +185,9 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
         trace.append(rec)
         if history is not None:
             history.append(x.copy())
-        if record is not None:
-            record(x, w, rec)
+        if errors is not None:
+            errors.append(iterate_error(p, x, w, w_prev, rec.gamma_raw))
+        w_prev = w
     return SolveOutcome(
         final_res=res,
         x=x,

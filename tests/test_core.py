@@ -47,6 +47,17 @@ def test_bounds_violation_is_reported():
     assert "bounds" in violations[0]
 
 
+# a box that is not one entry per coordinate: numpy broadcast a one-entry
+# box over all 50 coordinates, and a three-entry one failed in validate_problem
+@pytest.mark.parametrize("lo_shape, hi_shape", [
+    ((1,), (1,)), ((3,), (3,)), ((50,), (49,)), ((1,), (50,)), ((50, 1), (50, 1)), ((), ()),
+])
+def test_bounds_of_another_shape_are_rejected(lo_shape, hi_shape):
+    p = multipoly(MultipolySpec(n=50, k=3))
+    with pytest.raises(ValueError, match=r"need bounds of shape \(50,\)"):
+        replace(p, bounds=(np.zeros(lo_shape), np.ones(hi_shape)))
+
+
 def test_empty_box_is_reported():
     p = NonlinearProblem(
         name="empty_box",

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nasolve import diagnostics
 from nasolve.core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig
 from nasolve.diagnostics import (
     MissingGroundTruth,
@@ -10,9 +11,9 @@ from nasolve.diagnostics import (
     PairLabel,
     ZeroStep,
     diagnose_run,
-    error_recorder,
     estimate_rate,
     estimate_root_order,
+    iterate_error,
     theta_gain,
 )
 from nasolve.linalg import DenseJacobian, SingularMatrix, lstsq_gamma
@@ -44,10 +45,8 @@ def toy_problem(n=4):
 def _recorded(p, xs, ws):
     """The record a solve of p keeps for iterates xs, where the Newton update
     ws[i] led from xs[i] to xs[i + 1]."""
-    errors, record = error_recorder(p, xs[0])
-    for x, w in zip(xs[1:], ws):
-        record(x, w)
-    return errors
+    return [iterate_error(p, x, w, w_prev)
+            for x, w, w_prev in zip(xs, [None] + ws, [None, None] + ws)]
 
 
 def _hand_run(errors, theta=1.0):
@@ -406,6 +405,25 @@ class TestRecordedGamma:
             assert out.errors[k + 1].gamma == lstsq_gamma(ws[k], ws[k - 1]), k
             if out.trace[k].step_kind != "newton":
                 assert out.errors[k + 1].gamma == out.trace[k].gamma_raw, k
+
+    def test_record_reads_the_traces_gamma_and_computes_only_where_it_is_zero(self, monkeypatch):
+        # the record's lstsq_gamma calls: none on Bullard-Biegler, whose
+        # safeguard-rejected newton steps keep their raw gamma in the trace,
+        # and one per Newton step after the first
+        calls = []
+
+        def counting(w, w_prev):
+            calls.append(None)
+            return lstsq_gamma(w, w_prev)
+
+        monkeypatch.setattr(diagnostics, "lstsq_gamma", counting)
+        p = registry_entry("Bullard-Biegler")
+        p = replace(p, known_root=np.zeros(p.dim), null_basis=np.eye(p.dim)[:, :1])
+        out = solve(p, MethodId.gamma_armijo_n_anderson, replace(SolverConfig(), r=0.5))
+        assert any(rec.step_kind == "newton" and rec.gamma_raw != 0.0 for rec in out.trace)
+        assert len(calls) == 0
+        out = solve(multipoly(MultipolySpec(n=50, k=3)), MethodId.newton)
+        assert out.iterations >= 3 and len(calls) == out.iterations - 1
 
 
 # The diagnosis as it was computed before solves recorded their errors: from

@@ -345,7 +345,7 @@ def _regular_case(kind):
 
 # rank-one J with entries 1e6 (1e6 1 1^T but for the banded class, whose
 # second row is zero), f = ones(2): at the first rung mu ~ 2e-8 is lost to
-# the rounding of J^T J, which dpotrf then finds not positive definite; the
+# the rounding of J^T J, which dposv then finds not positive definite; the
 # second rung mu ~ 2 factors
 RANK_ONE = {
     "dense": DenseJacobian(np.full((2, 2), 1e6)),
@@ -391,16 +391,16 @@ class TestDampedNormalSolve:
         assert d is None
 
     def test_each_rung_factors_normal_plus_mu_identity(self, monkeypatch):
-        # every matrix dpotrf factors is dsyrk's J^T J (upper triangle, zeros
+        # every matrix dposv factors is dsyrk's J^T J (upper triangle, zeros
         # below) plus mu * np.eye, bit for bit; the rank-one toy takes two rungs
-        dpotrf = lapack.dpotrf
+        dposv = lapack.dposv
         factored = []
 
-        def recording_dpotrf(a, **kwargs):
-            factored.append(a.copy())  # before dpotrf overwrites it
-            return dpotrf(a, **kwargs)
+        def recording_dposv(a, b, **kwargs):
+            factored.append(a.copy())  # before dposv overwrites it
+            return dposv(a, b, **kwargs)
 
-        monkeypatch.setattr(lapack, "dpotrf", recording_dpotrf)
+        monkeypatch.setattr(lapack, "dposv", recording_dposv)
         for (jac, f), rungs in ((_regular_case("low_rank"), 1), ((RANK_ONE["dense"], np.ones(2)), 2)):
             mus = _ladder(f)
             factored.clear()
@@ -598,7 +598,7 @@ def test_solving_never_imports_the_scipy_linalg_package():
 
 
 BLAS_ROUTINES = ("dgemm", "dgemv", "dsyrk")
-LAPACK_ROUTINES = ("dgetrf", "dgetrs", "dtbtrs", "dpotrf", "dpotrs")
+LAPACK_ROUTINES = ("dgetrf", "dgetrs", "dtbtrs", "dposv")
 
 
 @pytest.mark.parametrize("first", ["scipy.linalg", "nasolve"])

@@ -487,6 +487,16 @@ def test_with_ground_truth_keeps_every_other_field():
             assert getattr(q, f.name) is getattr(p, f.name), f.name
 
 
+def test_with_ground_truth_names_the_problem_it_cannot_solve():
+    # f(x) = x^2 + 1 has no real root, and J(0) = 0 stops the solve at once
+    p = NonlinearProblem(
+        name="no_real_root", residual=lambda x: x * x + 1.0,
+        jacobian=lambda x: DenseJacobian(np.diag(2.0 * x)), start=np.zeros(1),
+    )
+    with pytest.raises(RuntimeError, match="ground-truth solve failed on no_real_root"):
+        with_ground_truth(p)
+
+
 def test_dim_is_derived_from_start():
     assert [f.name for f in fields(NonlinearProblem)] == [
         "name", "residual", "jacobian", "start", "known_root", "null_basis", "bounds",

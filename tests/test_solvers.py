@@ -540,14 +540,14 @@ def test_proj_lm_class_matches_dense_reference(case, monkeypatch):
     p, jac_class, max_iters, kinds, rung_retry = LM_BRANCH_CASES[case]
     assert type(p.jacobian(p.start)) is jac_class
     infos = []  # one entry per call of the handle damped_normal_solve calls
-    dpotrf = lapack.dpotrf
+    dposv = lapack.dposv
 
-    def recording_dpotrf(a, **kwargs):
-        c, info = dpotrf(a, **kwargs)
+    def recording_dposv(a, b, **kwargs):
+        c, x, info = dposv(a, b, **kwargs)
         infos.append(info)
-        return c, info
+        return c, x, info
 
-    monkeypatch.setattr(lapack, "dpotrf", recording_dpotrf)
+    monkeypatch.setattr(lapack, "dposv", recording_dposv)
     cfg = SolverConfig(max_iters=max_iters)
     out = solve(p, MethodId.proj_lm, cfg)
     class_infos = infos[:]
@@ -566,13 +566,13 @@ def test_solvers_hold_no_blas_or_lapack():
     # every BLAS and LAPACK call is made in linalg; the LM step reaches them
     # only through damped_normal_solve
     assert [name for name, v in vars(solvers).items() if v is blas or v is lapack] == []
-    routines = r"\b(?:blas|lapack|d(?:gemm|gemv|syrk|potr[fs]|getr[fs]|tbtrs))\b"
+    routines = r"\b(?:blas|lapack|d(?:gemm|gemv|syrk|posv|getr[fs]|tbtrs))\b"
     assert re.findall(routines, inspect.getsource(solvers)) == []
 
 
 class TestCholeskyAgainstScipyWrappers:
-    """damped_normal_solve factors a Fortran-order copy in place with
-    dpotrf(clean=0, overwrite_a=1) and solves with dpotrs, the routines
+    """damped_normal_solve factors a Fortran-order copy in place and solves
+    with one dposv(overwrite_a=1), which calls dpotrf and dpotrs, the routines
     cho_factor and cho_solve call, so they must agree bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 8, 57, 300])
@@ -584,10 +584,8 @@ class TestCholeskyAgainstScipyWrappers:
             rhs = rng.standard_normal(n)
             a = normal.copy(order="F")
             a.flat[:: n + 1] += 1e-3
-            c, info = scipy.linalg.lapack.dpotrf(a, clean=0, overwrite_a=1)
+            c, d, info = scipy.linalg.lapack.dposv(a, rhs, overwrite_a=1)
             assert info == 0 and np.shares_memory(c, a)
-            d, info = scipy.linalg.lapack.dpotrs(c, rhs)
-            assert info == 0
             ref = normal.copy()
             ref.flat[:: n + 1] += 1e-3
             c_ref, lower = scipy.linalg.cho_factor(ref, check_finite=False)
@@ -598,7 +596,7 @@ class TestCholeskyAgainstScipyWrappers:
 
     def test_not_positive_definite_gives_positive_info(self):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
-        _, info = scipy.linalg.lapack.dpotrf(a.copy(order="F"), clean=0, overwrite_a=1)
+        _, _, info = scipy.linalg.lapack.dposv(a.copy(order="F"), np.ones(2), overwrite_a=1)
         assert info > 0
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cho_factor(a, check_finite=False)
