@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import nasolve
 from nasolve.core import SolverConfig
 from nasolve.linalg import (
+    BAND_BLOCK,
     EPS,
     DenseJacobian,
     IdentityMinusLowRankJacobian,
@@ -26,8 +27,20 @@ from nasolve.linalg import (
     lstsq_gamma,
     norm2,
 )
-from nasolve.problems import HEquationSpec, MultipolySpec, h_equation, multipoly
+from nasolve.problems import HEquationSpec, MultipolySpec, _int_power, h_equation, multipoly
 from nasolve.solvers import MethodId, solve
+
+
+def band_jacobian(diag, superdiag):
+    """UpperBidiagonalJacobian from its two diagonals, packed into LAPACK's
+    upper band.  The corner ``band[0, 0]``, outside the matrix, is NaN: no
+    result may depend on it."""
+    diag = np.asarray(diag, dtype=float)
+    band = np.empty((2, len(diag)), order="F")
+    band[0, 0] = np.nan
+    band[0, 1:] = superdiag
+    band[1] = diag
+    return UpperBidiagonalJacobian(band)
 
 
 def _reference_structured_solve(a, b):
@@ -156,17 +169,17 @@ class TestDenseSolveAgainstScipyWrappers:
 
 class TestStructuredSolve:
     def test_identity_like(self):
-        a = UpperBidiagonalJacobian(np.array([1.0, 1.0]), np.array([0.0]))
+        a = band_jacobian(np.array([1.0, 1.0]), np.array([0.0]))
         np.testing.assert_allclose(a.solve(np.array([1.0, 1.0])), [1.0, 1.0])
 
     def test_corner_zero_singular(self):
         # the chained-polynomial Jacobian at the zero root
-        a = UpperBidiagonalJacobian(np.array([1.0, 1.0, 1.0, 0.0]), np.zeros(3))
+        a = band_jacobian(np.array([1.0, 1.0, 1.0, 0.0]), np.zeros(3))
         with pytest.raises(SingularMatrix, match="last pivot"):
             a.solve(np.ones(4))
 
     def test_zero_middle_pivot_singular(self):
-        a = UpperBidiagonalJacobian(np.array([1.0, 0.0, 1.0]), np.array([1.0, 1.0]))
+        a = band_jacobian(np.array([1.0, 0.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(SingularMatrix):
             a.solve(np.ones(3))
 
@@ -177,7 +190,7 @@ class TestStructuredSolve:
             diag = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
             sup = rng.standard_normal(n - 1)
             diag[-1] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-            a = UpperBidiagonalJacobian(diag, sup)
+            a = band_jacobian(diag, sup)
             b = rng.standard_normal(n)
             x_struct = a.solve(b)
             x_dense = DenseJacobian(a.to_dense()).solve(b)
@@ -186,7 +199,7 @@ class TestStructuredSolve:
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(3)
-        a = UpperBidiagonalJacobian(rng.standard_normal(8), rng.standard_normal(7))
+        a = band_jacobian(rng.standard_normal(8), rng.standard_normal(7))
         v = rng.standard_normal(8)
         np.testing.assert_allclose(a.matvec(v), a.to_dense() @ v, atol=1e-14)
 
@@ -211,7 +224,7 @@ class TestBandedAgainstDense:
     def test_finite_instances(self, n):
         rng = np.random.default_rng(100 + n)
         for _ in range(20):
-            banded = UpperBidiagonalJacobian(*_random_band(rng, n))
+            banded = band_jacobian(*_random_band(rng, n))
             dense = DenseJacobian(banded.to_dense())
             v = rng.standard_normal(n)
             np.testing.assert_allclose(banded.matvec(v), dense.matvec(v), rtol=1e-12, atol=1e-12)
@@ -232,7 +245,7 @@ class TestBandedAgainstDense:
             for j in rng.permutation(len(slots))[: rng.integers(1, len(slots) + 1)]:
                 arr, i = slots[j]
                 arr[i] = bad
-            banded = UpperBidiagonalJacobian(diag, sup)
+            banded = band_jacobian(diag, sup)
             dense = DenseJacobian(banded.to_dense())
             v = rng.standard_normal(n)
             # assert_allclose requires NaN and inf in the same places
@@ -241,14 +254,14 @@ class TestBandedAgainstDense:
     def test_to_dense_matches_two_diagonal_sum(self):
         rng = np.random.default_rng(7)
         for n in (1, 2, 57):
-            banded = UpperBidiagonalJacobian(*_random_band(rng, n))
+            banded = band_jacobian(*_random_band(rng, n))
             ref = np.diag(banded.diag) + np.diag(banded.superdiag, 1)
             np.testing.assert_array_equal(banded.to_dense().view(np.uint64), ref.view(np.uint64))
 
     def test_to_dense_memory_budget(self):
         # one n x n array, not a second for the superdiagonal
         n = 2000
-        banded = UpperBidiagonalJacobian(*_random_band(np.random.default_rng(8), n))
+        banded = band_jacobian(*_random_band(np.random.default_rng(8), n))
         assert _peak_bytes(banded.to_dense) < 1.5 * n * n * 8
 
 
@@ -349,7 +362,7 @@ def _regular_case(kind):
 # second rung mu ~ 2 factors
 RANK_ONE = {
     "dense": DenseJacobian(np.full((2, 2), 1e6)),
-    "banded": UpperBidiagonalJacobian(np.array([1e6, 0.0]), np.array([1e6])),
+    "banded": band_jacobian(np.array([1e6, 0.0]), np.array([1e6])),
     "low_rank": IdentityMinusLowRankJacobian(np.ones(2), np.eye(2), np.eye(2) - np.full((2, 2), 1e6)),
 }
 
@@ -432,7 +445,7 @@ class TestStructuredSolveAgainstReference:
             diag = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
             sup = rng.uniform(-1.0, 1.0, n - 1)
             diag[-1] = rng.uniform(1.0, 2.0) * rng.choice([-1.0, 1.0])
-            a = UpperBidiagonalJacobian(diag, sup)
+            a = band_jacobian(diag, sup)
             b = rng.standard_normal(n)
             assert _rel_err(a.solve(b), _reference_structured_solve(a, b)) <= 1e-12
 
@@ -446,19 +459,19 @@ class TestStructuredSolveAgainstReference:
             assert _rel_err(a.solve(fx), _reference_structured_solve(a, fx)) <= 1e-12
 
     def test_one_by_one(self):
-        a = UpperBidiagonalJacobian(np.array([-4.0]), np.array([]))
+        a = band_jacobian(np.array([-4.0]), np.array([]))
         assert a.solve(np.array([2.0]))[0] == -0.5
         assert _reference_structured_solve(a, np.array([2.0]))[0] == -0.5
 
     def test_tiny_pivot_alone_in_its_row_is_accepted(self):
-        a = UpperBidiagonalJacobian(np.array([1.0, 1e-300, 2.0]), np.array([1.0, 0.0]))
+        a = band_jacobian(np.array([1.0, 1e-300, 2.0]), np.array([1.0, 0.0]))
         b = np.array([1.0, 1e-300, 1.0])
         x = a.solve(b)
         np.testing.assert_array_equal(x, _reference_structured_solve(a, b))
         np.testing.assert_array_equal(x, [0.0, 1.0, 0.5])
 
     def test_highest_negligible_pivot_is_named(self):
-        a = UpperBidiagonalJacobian(
+        a = band_jacobian(
             np.array([1.0, 0.0, 1.0, 1e-20, 1.0]), np.array([1.0, 1.0, 1.0, 1.0])
         )
         with pytest.raises(SingularMatrix) as fast:
@@ -469,7 +482,7 @@ class TestStructuredSolveAgainstReference:
         assert "row 3" in str(fast.value)
 
     def test_nan_pivot_propagates_without_raising(self):
-        a = UpperBidiagonalJacobian(np.array([1.0, np.nan, 1.0]), np.array([1.0, 1.0]))
+        a = band_jacobian(np.array([1.0, np.nan, 1.0]), np.array([1.0, 1.0]))
         x = a.solve(np.ones(3))
         np.testing.assert_array_equal(x, _reference_structured_solve(a, np.ones(3)))
         assert np.isnan(x[:2]).all() and x[2] == 1.0
@@ -477,9 +490,161 @@ class TestStructuredSolveAgainstReference:
     def test_zero_pivot_behind_nan_row_entry_raises(self):
         # the row-relative test cannot see this pivot (0 <= NaN is false), so
         # the LAPACK singularity report is what catches it
-        a = UpperBidiagonalJacobian(np.array([1.0, 0.0, 1.0]), np.array([1.0, np.nan]))
+        a = band_jacobian(np.array([1.0, 0.0, 1.0]), np.array([1.0, np.nan]))
         with pytest.raises(SingularMatrix, match="row 1 is exactly zero"):
             a.solve(np.ones(3))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestMultipolyBand:
+    """multipoly's Jacobian written straight into LAPACK's band layout, and
+    its residual written block by block, against the whole-row formulas
+    they replaced, bit for bit."""
+
+    @staticmethod
+    def _point(n):
+        # negative entries, exact zeros of both signs, over more than one block
+        x = np.random.default_rng(n).uniform(-1.5, 1.0, n)
+        x[::7] = 0.0
+        x[3::11] = -0.0
+        x[-1] = -0.0
+        return x
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    @pytest.mark.parametrize("n", [2, BAND_BLOCK, BAND_BLOCK + 1, 2 * BAND_BLOCK + 7])
+    def test_jacobian_equals_two_array_formula(self, k, n):
+        x = self._point(n)
+        diag = 2.0 * x
+        diag += 1.0
+        superdiag = _int_power(x, k - 1)
+        superdiag *= -k
+        diag[-1] = -superdiag[-1]
+        jac = multipoly(MultipolySpec(n=n, k=k)).jacobian(x)
+        np.testing.assert_array_equal(_bits(jac.diag), _bits(diag))
+        np.testing.assert_array_equal(_bits(jac.superdiag), _bits(superdiag[1:]))
+        assert jac.band.shape == (2, n) and jac.band.flags.f_contiguous
+        assert np.shares_memory(jac.diag, jac.band) and np.shares_memory(jac.superdiag, jac.band)
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    @pytest.mark.parametrize("n", [2, BAND_BLOCK, BAND_BLOCK + 1, 2 * BAND_BLOCK + 7])
+    def test_residual_equals_whole_row_formula(self, k, n):
+        x = self._point(n)
+        xk = _int_power(x, k)
+        f = np.square(x)
+        f += x
+        f[:-1] -= xk[1:]
+        f[-1] = xk[-1]
+        np.testing.assert_array_equal(_bits(multipoly(MultipolySpec(n=n, k=k)).residual(x)), _bits(f))
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_solve_is_dtbtrs_on_a_separately_packed_band(self, k):
+        n = 2 * BAND_BLOCK + 7
+        x = self._point(n)
+        x[x == 0.0] = 0.25  # keep every pivot 2x + 1 and k x_n^(k-1) away from zero
+        x[x < -0.4] = -0.4
+        jac = multipoly(MultipolySpec(n=n, k=k)).jacobian(x)
+        ab = np.zeros((2, n), order="F")
+        ab[0, 1:] = jac.superdiag
+        ab[1] = jac.diag
+        b = np.random.default_rng(k).standard_normal(n)
+        ref, info = lapack.dtbtrs(ab, b, uplo="U", trans="N", diag="N")
+        assert info == 0
+        np.testing.assert_array_equal(_bits(jac.solve(b)), _bits(ref))
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_jacobian_and_solve_memory_budget(self, k):
+        # the band (2 n) and the solution (n); repacking the band for each
+        # solve and an n-length pivot test made it 5 n.  The residual holds
+        # the one n-vector it returns; whole-row powers made it 2 n
+        n = 10**6
+        p = multipoly(MultipolySpec(n=n, k=k))
+        x = np.random.default_rng(k).uniform(-0.4, 1.0, n)
+        b = np.ones(n)
+        assert _peak_bytes(lambda: p.jacobian(x).solve(b)) < 4 * n * 8
+        assert _peak_bytes(lambda: p.residual(x)) < 1.5 * n * 8
+
+
+def _expect_same_outcome(a, b):
+    """a.solve(b) raises the reference's SingularMatrix message, or solves as it does."""
+    try:
+        ref = _reference_structured_solve(a, b)
+    except SingularMatrix as exc:
+        with pytest.raises(SingularMatrix) as fast:
+            a.solve(b)
+        assert str(fast.value) == str(exc)
+        return str(exc)
+    assert _rel_err(a.solve(b), ref) <= 1e-12
+    return None
+
+
+B = BAND_BLOCK  # rows per block of the pivot test
+
+
+class TestPivotBlocks:
+    """The blocked pivot test at and across block edges: the same decision,
+    rule and named row as the row-by-row reference loop."""
+
+    SIZES = [1, 2, B - 1, B, B + 1, 3 * B + 5]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_regular_band_solves(self, n):
+        rng = np.random.default_rng(n)
+        diag, sup = _random_band(rng, n)
+        assert _expect_same_outcome(band_jacobian(diag, sup), rng.standard_normal(n)) is None
+
+    # rows 0, B - 1, B and n - 2 wherever they lie above the last row
+    @pytest.mark.parametrize("n, row", [(n, row) for n in SIZES
+                                        for row in sorted({0, B - 1, B, n - 2}) if 0 <= row <= n - 2])
+    def test_one_negligible_pivot_is_named(self, n, row):
+        diag, sup = np.full(n, 2.0), np.full(n - 1, 1.0)
+        diag[row] = -1e-20
+        message = _expect_same_outcome(band_jacobian(diag, sup), np.ones(n))
+        assert f"at row {row} " in message
+
+    @pytest.mark.parametrize("n", [B + 1, 3 * B + 5])
+    def test_highest_of_several_is_named(self, n):
+        rows = sorted({0, B - 1, B, n - 2, B // 2} & set(range(n - 1)))
+        for top in range(1, len(rows) + 1):
+            diag, sup = np.full(n, 2.0), np.full(n - 1, -1.0)
+            diag[rows[:top]] = 0.0
+            message = _expect_same_outcome(band_jacobian(diag, sup), np.ones(n))
+            assert f"at row {rows[top - 1]} " in message
+
+    @pytest.mark.parametrize("row", [B - 1, B])
+    def test_rule_is_pivot_at_most_eps_times_row_entry(self, row):
+        n = B + 2
+        diag, sup = np.full(n, 2.0), np.full(n - 1, 1.0)
+        sup[row] = -4.0
+        diag[row] = 4.0 * EPS  # equal to EPS |s|: negligible
+        assert f"at row {row} " in _expect_same_outcome(band_jacobian(diag, sup), np.ones(n))
+        diag[row] = np.nextafter(4.0 * EPS, 1.0)  # one ulp above: accepted
+        assert _expect_same_outcome(band_jacobian(diag, sup), np.ones(n)) is None
+
+    @pytest.mark.parametrize("row", [B - 1, B])
+    def test_nan_pivot_propagates_across_blocks(self, row):
+        n = 2 * B + 3
+        diag, sup = np.full(n, 2.0), np.full(n - 1, 1.0)
+        diag[row] = np.nan
+        a = band_jacobian(diag, sup)
+        x = a.solve(np.ones(n))
+        np.testing.assert_array_equal(x, _reference_structured_solve(a, np.ones(n)))
+        assert np.isnan(x[: row + 1]).all() and np.isfinite(x[row + 1:]).all()
+
+    @pytest.mark.parametrize("row", [B - 1, B])
+    def test_zero_pivot_behind_nan_row_entry_raises_across_blocks(self, row):
+        n = 2 * B + 3
+        diag, sup = np.full(n, 2.0), np.full(n - 1, 1.0)
+        diag[row], sup[row] = 0.0, np.nan
+        with pytest.raises(SingularMatrix, match=f"row {row} is exactly zero"):
+            band_jacobian(diag, sup).solve(np.ones(n))
+
+    @pytest.mark.parametrize("shape", [(2, 0), (1, 5), (3, 5), (5,), (2, 3, 1)])
+    def test_band_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="band"):
+            UpperBidiagonalJacobian(np.ones(shape))
 
 
 class TestLstsqGamma:

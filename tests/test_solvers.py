@@ -39,6 +39,8 @@ from nasolve.solvers import (
     solve,
 )
 
+from test_linalg import band_jacobian  # tests/ is on sys.path under pytest's default import mode
+
 # the four depth-1 Newton-Anderson methods
 NA_METHODS = tuple(m for m in MethodId if m not in (MethodId.newton, MethodId.proj_lm))
 
@@ -521,7 +523,7 @@ LM_BRANCH_CASES = {
         _rank_one(DenseJacobian(np.full((2, 2), 1e6))), DenseJacobian, 1,
         {"lm_linesearch": 1}, True),
     "bidiagonal_rank_one": (
-        _rank_one(UpperBidiagonalJacobian(np.array([1e6, 0.0]), np.array([1e6]))),
+        _rank_one(band_jacobian(np.array([1e6, 0.0]), np.array([1e6]))),
         UpperBidiagonalJacobian, 1, {"lm_linesearch": 1}, True),
     # w = 1, E = I and the core M = I - 1e6 1 1^T give J = 1e6 1 1^T exactly,
     # the dense case's matrix; with w >= 0 a rank-one core cannot make J
