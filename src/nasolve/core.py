@@ -49,7 +49,8 @@ class NonlinearProblem:
     concurrent solves, which edit no process-global state (no warnings
     filter).  ``known_root``/``null_basis`` are optional ground truth for
     diagnostics; ``bounds`` is a box constraint used only by the projected
-    Levenberg-Marquardt comparator.  ``dim`` is ``len(start)``.
+    Levenberg-Marquardt comparator.  ``start`` is 1-D, possibly empty, and
+    ``dim`` is ``len(start)``.
     """
 
     name: str
@@ -65,6 +66,8 @@ class NonlinearProblem:
         for name in ("known_root", "null_basis"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.start.ndim != 1:
+            raise ValueError(f"need a 1-D start, got shape {self.start.shape}")
         dim, root, basis = self.dim, self.known_root, self.null_basis
         if root is not None and root.shape != (dim,):
             raise ValueError(f"need known_root of shape ({dim},), got {root.shape}")

@@ -119,13 +119,14 @@ def h_equation(spec: HEquationSpec) -> NonlinearProblem:
     cmu = omega / (2.0 * n) * _nodes(n)
     e, m = _kernel_factors(n)
 
+    def kernel_sum(x):  # s_i = (omega/2n) sum_j mu_i x_j / (mu_i + mu_j)
+        return cmu * (e @ (m @ (e.T @ x)))
+
     def residual(x):
-        s = cmu * (e @ (m @ (e.T @ x)))
-        return x - 1.0 / (1.0 - s)
+        return x - 1.0 / (1.0 - kernel_sum(x))
 
     def jacobian(x):
-        s = cmu * (e @ (m @ (e.T @ x)))
-        return IdentityMinusLowRankJacobian(cmu * (1.0 - s) ** -2, e, m)
+        return IdentityMinusLowRankJacobian(cmu * (1.0 - kernel_sum(x)) ** -2, e, m)
 
     return NonlinearProblem(
         name=f"heq_n{n}_w{omega:g}",

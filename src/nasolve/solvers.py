@@ -14,6 +14,7 @@ where the Jacobian is invertible when the root is singular.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -154,20 +155,24 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
     core.STATUSES applies: pass k = 0..max_iters takes ||f(x_k)|| and asks
     _stop_status, the one stop test, which names the cap at k == max_iters.
 
-    ``step(k, x, fx, res, residual)`` returns the IterationRecord of step k,
-    the accepted iterate with its residual, and the Newton update it solved
-    for at x (None if it solved for none); it evaluates f only through
-    ``residual``, which counts the calls into ``SolveOutcome.f_evals``.  A
-    SingularMatrix raised by a step ends the run before that step is recorded.
-    With ground truth, ``SolveOutcome.errors`` holds the iterate_error of x_0
-    and of each step's iterate, given its update, the one before and gamma_raw.
+    _drive alone holds the iteration's memory; a step keeps none between
+    calls.  ``step(k, x, fx, res, residual, x_prev, w_prev, prev)`` is given
+    x_k, f(x_k), ||f(x_k)||, the counted residual, x_{k-1}, the Newton update
+    w_k solved for at x_{k-1} (None if that step solved for none) and the
+    IterationRecord of step k - 1, whose ``step_norm`` is ||w_k||; the last
+    three are None at k = 0.  It returns the IterationRecord of step k, the
+    accepted iterate x_{k+1} with its residual, and the Newton update w_{k+1}
+    it solved for at x_k, or None.  It evaluates f only through ``residual``,
+    which counts the calls into ``SolveOutcome.f_evals``.  A SingularMatrix
+    raised by a step ends the run before that step is recorded.  With ground
+    truth, ``SolveOutcome.errors`` holds the iterate_error of x_0 and of each
+    step's iterate, given its update, the one before and gamma_raw.
     """
     t0 = time.perf_counter()
-    f_evals = 0
+    calls = itertools.count()
 
     def residual(v):
-        nonlocal f_evals
-        f_evals += 1
+        next(calls)
         return p.residual(v)
 
     x = start.copy()
@@ -176,28 +181,28 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
     history = [x.copy()] if keep_history else None
     truth = p.known_root is not None and p.null_basis is not None
     errors = [iterate_error(p, x)] if truth else None
-    w_prev = None
+    x_prev = w_prev = prev = None
     for k in range(cfg.max_iters + 1):
         res = norm2(fx)
         status = _stop_status(res, cfg.tol, at_cap=k == cfg.max_iters)
         if status is not None:
             break
         try:
-            rec, x, fx, w = step(k, x, fx, res, residual)
+            rec, x_new, fx, w = step(k, x, fx, res, residual, x_prev, w_prev, prev)
         except SingularMatrix:
             status = "singular_jacobian"
             break
         trace.append(rec)
         if history is not None:
-            history.append(x.copy())
+            history.append(x_new.copy())
         if errors is not None:
-            errors.append(iterate_error(p, x, w, w_prev, rec.gamma_raw))
-        w_prev = w
+            errors.append(iterate_error(p, x_new, w, w_prev, rec.gamma_raw))
+        x_prev, x, w_prev, prev = x, x_new, w, rec
     return SolveOutcome(
         final_res=res,
         x=x,
         status=status,
-        f_evals=f_evals,
+        f_evals=next(calls),  # n after n residual calls
         trace=trace,
         iterate_history=history,
         errors=errors,
@@ -212,12 +217,8 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, method: Method
     anderson = method is not MethodId.newton
     safeguard = method in SAFEGUARD_METHODS
     linesearch = method in LINESEARCH_METHODS
-    x_prev: np.ndarray | None = None
-    w_prev: np.ndarray | None = None
-    w_prev_norm = 0.0
 
-    def step(k, x, fx, res, residual):
-        nonlocal x_prev, w_prev, w_prev_norm
+    def step(k, x, fx, res, residual, x_prev, w_prev, prev):
         jac = p.jacobian(x)
         w = jac.solve(-fx)
         w_norm = norm2(w)
@@ -228,7 +229,7 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, method: Method
             if gamma_raw is None:
                 gamma_raw = 0.0  # stagnated direction: plain Newton step
             elif safeguard:
-                dec = gamma_safeguard(gamma_raw, w_norm, w_prev_norm, cfg.r)
+                dec = gamma_safeguard(gamma_raw, w_norm, prev.step_norm, cfg.r)
                 if not dec.took_newton_step:
                     lam = dec.lam
                     gamma_used = lam * gamma_raw
@@ -255,7 +256,6 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, method: Method
             if kind == "anderson":
                 kind = "anderson_linesearch"
 
-        x_prev, w_prev, w_prev_norm = x, w, w_norm
         rec = IterationRecord(
             k=k, res_norm=res, step_norm=w_norm,
             gamma_raw=gamma_raw, lam=lam, gamma_used=gamma_used, theta=theta,
@@ -285,8 +285,8 @@ def _projected_lm_step(p: NonlinearProblem, project):
     gradient step is taken instead.
     """
 
-    def step(k, x, fx, res, residual):
-        g0 = res * res  # reuses res; fx @ fx, the other searches' merit, can differ in the last bit
+    def step(k, x, fx, res, residual, *_):  # reads no earlier step
+        g0 = float(fx @ fx)
         jtf, d = damped_normal_solve(p.jacobian(x), fx, (max(MU_SCALE * g0, MU_FLOOR), g0, 1.0))
         grad = 2.0 * jtf
         kind, ls_evals = "projected_gradient", 0

@@ -140,6 +140,16 @@ def test_validation_of_h_equation_forms_no_n_by_r_array(monkeypatch):
     assert "null_basis column 0 not annihilated" in violations[-1]
 
 
+# a start that is not 1-D: (2, 1) failed inside the first norm2, (1, 2) gave
+# dim 1 for two unknowns, and a 0-d start raised TypeError from len()
+@pytest.mark.parametrize("start", [np.zeros((2, 1)), np.zeros((1, 2)), np.float64(0.0)],
+                         ids=["column", "row", "scalar"])
+def test_start_of_another_shape_is_rejected(start):
+    p = multipoly(MultipolySpec(n=50, k=3))
+    with pytest.raises(ValueError, match=re.escape(f"need a 1-D start, got shape {np.shape(start)}")):
+        NonlinearProblem(name="bad", residual=p.residual, jacobian=p.jacobian, start=start)
+
+
 class TestGroundTruthShapes:
     """Construction rejects a misshapen known_root or null_basis, which would
     otherwise broadcast in x - root or fail inside norm2 at diagnosis."""

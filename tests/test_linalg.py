@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -105,6 +106,11 @@ class TestLuSolve:
     def test_zero_matrix(self):
         with pytest.raises(SingularMatrix):
             DenseJacobian(np.zeros((2, 2))).solve(np.ones(2))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"must be square, got shape {shape}")):
+            DenseJacobian(np.zeros(shape))
 
     def test_accepts_dense_jacobian(self):
         a = DenseJacobian(np.array([[2.0, 1.0], [1.0, 3.0]]))

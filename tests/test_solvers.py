@@ -18,6 +18,7 @@ from nasolve.linalg import (
     SingularMatrix,
     UpperBidiagonalJacobian,
     blas,
+    damped_normal_solve,
     lapack,
 )
 from nasolve.problems import (
@@ -428,6 +429,23 @@ class TestProjectedLm:
             "projected_gradient": 49, "lm": 1,
         }
         assert sum(rec.ls_evals for rec in out.trace) == 49
+
+    def test_merit_is_the_dot_product(self, monkeypatch):
+        # the damping ladder's second rung is the merit g(x_0) = ||f(x_0)||^2,
+        # taken as f @ f like the other searches; res * res, from the norm,
+        # differs from it in the last bit here
+        p = h_equation(HEquationSpec(n=300, omega=1.0))
+        f0 = p.residual(p.start)
+        rungs = []
+
+        def recording(jac, f, mus):
+            rungs.append(mus)
+            return damped_normal_solve(jac, f, mus)
+
+        monkeypatch.setattr(solvers, "damped_normal_solve", recording)
+        solve(p, MethodId.proj_lm, SolverConfig(max_iters=1))
+        assert len(rungs) == 1
+        assert rungs[0][1].hex() == float(f0 @ f0).hex()
 
     @pytest.mark.parametrize("case", [0.5, 1.0] + [p.name for p in registry()])
     def test_scipy_normal_equations_match_numpy_reference(self, case, monkeypatch):
