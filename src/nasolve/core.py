@@ -137,7 +137,8 @@ IterateError = namedtuple("IterateError", "null range_norm update gamma")
 @dataclass
 class SolveOutcome:
     """Result of a solve.  ``trace`` always holds per-step scalars; the full
-    iterate list is retained only when requested (large-n histories are big).
+    iterate list is retained only when requested (large-n histories are big),
+    and holds the iterates themselves: ``iterate_history[-1] is x``.
 
     ``status`` is one of STATUSES and says why the run stopped; ``f_evals``
     counts the residual evaluations the run made, start point included.

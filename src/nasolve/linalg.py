@@ -8,17 +8,19 @@ r x r core M.  Each class is the only home of its format, its solve
 included.  The interface is ``matvec``, ``solve`` and ``to_dense``; the
 solvers reach ``to_dense`` only through ``damped_normal_solve``.
 
-Every BLAS and LAPACK call of nasolve is made here, by four rules.  One
-pool: n-scale BLAS-3 and LAPACK calls go through ``blas`` and ``lapack``
-below, never numpy's ``@``; numpy bundles its own OpenBLAS with its own
-thread pool, and on a 2-core machine a scipy call that follows a numpy
-BLAS-3 call ran up to twice as slow (the Woodbury capacitance, and the LM
-Cholesky factor after a numpy J^T J).  Fortran order, which f2py passes
-without a copy: ``to_dense`` forms J in it (``DenseJacobian`` returns the
-array it holds).  A symmetric matrix holds its upper triangle, which
-``dsyrk`` fills and ``dposv`` reads.  An ``info`` < 0, a rejected
-argument, raises ValueError; info > 0 (a zero pivot, a minor not positive
-definite) is answered on the spot.
+Every BLAS and LAPACK call of nasolve is made here but one: the dense SVD
+of ``problems.with_ground_truth``, ``np.linalg.svd`` in numpy's pool, which
+waits on ground truth without an n x n matrix (ROADMAP item 5).  Four
+rules hold here.  One pool: n-scale BLAS-3 and LAPACK calls go through
+``blas`` and ``lapack`` below, never numpy's ``@``; numpy bundles its own
+OpenBLAS with its own thread pool, and on a 2-core machine a scipy call
+that follows a numpy BLAS-3 call ran up to twice as slow (the Woodbury
+capacitance, and the LM Cholesky factor after a numpy J^T J).  Fortran
+order, which f2py passes without a copy: ``to_dense`` forms J in it
+(``DenseJacobian`` returns the array it holds).  A symmetric matrix holds
+its upper triangle, which ``dsyrk`` fills and ``dposv`` reads.  An
+``info`` < 0, a rejected argument, raises ValueError; info > 0 (a zero
+pivot, a minor not positive definite) is answered on the spot.
 
 ``blas`` and ``lapack`` are scipy's f2py wrappers ``scipy.linalg._fblas`` and
 ``_flapack``, loaded without the ``scipy.linalg`` package ``__init__``, which
@@ -269,16 +271,14 @@ def damped_normal_solve(jac: JacobianMatrix, f: np.ndarray, mus) -> tuple[np.nda
     """(J^T f, d): d solves (J^T J + mu I) d = -J^T f for the first mu in
     ``mus`` whose ``dposv`` succeeds, and is None if none does.
 
-    J^T f is one ``dgemv`` and J^T J one ``dsyrk`` on ``jac.to_dense()``,
-    which is dropped before the first factor copy, so at most two n x n
-    arrays are alive at once.
+    J^T f is one ``dgemv`` on J = ``jac.to_dense()``.  Each rung forms J^T J
+    by ``dsyrk``, adds mu and ``dposv`` factors it in place: J and one factor
+    are alive, plus a failed rung's factor while the next rung forms its own.
     """
     a = jac.to_dense()
     jtf = blas.dgemv(1.0, a, f, trans=1)
-    normal = blas.dsyrk(1.0, a, trans=1)
-    del a
     for mu in mus:
-        c = normal.copy(order="F")
+        c = blas.dsyrk(1.0, a, trans=1)
         c.flat[:: jac.n + 1] += mu
         _, d, info = lapack.dposv(c, -jtf, overwrite_a=1)
         if info < 0:

@@ -144,13 +144,28 @@ def _int_power(x: np.ndarray, e: int, out: np.ndarray | None = None) -> np.ndarr
     taken of |x| and, for odd e, the sign of x is copied back.  Infinities,
     NaNs and signed zeros come out as ``x ** e`` gives them; a finite result
     can differ from it by 1 ulp.
+
+    Entries with |x| < 2^(-1076/e), zeros included, whose power rounds to +0,
+    are set to 0 without ``pow``: on 10^5 such entries numpy's vector ``pow``
+    took 2.1-15 ms against 0.6 ms on normal values (2-core AVX-512 Xeon,
+    numpy 2.4.6), and two thirds of the entries multipoly's Newton solves
+    raise at n = 10^5 are zeros.  A block with no such entry, as in multipoly's Anderson
+    solves, skips the mask after one ``min``: ``pow`` under a mask ran about
+    20% slower than without.  Just below 2^(-1075/e), ``pow`` still gives
+    the least subnormal for e = 3 and 6.
     """
     if e == 1:
         return np.positive(x, out=out)  # a copy
     if e == 2:
         return np.square(x, out=out)
     y = np.abs(x, out=out)
-    np.power(y, e, out=y)
+    tiny = 2.0 ** (-1076.0 / e)
+    if y.min(initial=np.inf) < tiny:
+        small = y < tiny
+        np.copyto(y, 0.0, where=small)
+        np.power(y, e, out=y, where=~small)
+    else:
+        np.power(y, e, out=y)
     if e % 2:
         np.copysign(y, x, out=y)
     return y

@@ -161,12 +161,13 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
     w_k solved for at x_{k-1} (None if that step solved for none) and the
     IterationRecord of step k - 1, whose ``step_norm`` is ||w_k||; the last
     three are None at k = 0.  It returns the IterationRecord of step k, the
-    accepted iterate x_{k+1} with its residual, and the Newton update w_{k+1}
-    it solved for at x_k, or None.  It evaluates f only through ``residual``,
-    which counts the calls into ``SolveOutcome.f_evals``.  A SingularMatrix
-    raised by a step ends the run before that step is recorded.  With ground
-    truth, ``SolveOutcome.errors`` holds the iterate_error of x_0 and of each
-    step's iterate, given its update, the one before and gamma_raw.
+    accepted iterate x_{k+1}, a new array that nothing writes into, with its
+    residual, and the Newton update w_{k+1} it solved for at x_k, or None.
+    It evaluates f only through ``residual``, which counts the calls into
+    ``SolveOutcome.f_evals``.  A SingularMatrix raised by a step ends the run
+    before that step is recorded.  With ground truth, ``SolveOutcome.errors``
+    holds the iterate_error of x_0 and of each step's iterate, given its
+    update, the one before and gamma_raw.
     """
     t0 = time.perf_counter()
     calls = itertools.count()
@@ -178,7 +179,7 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
     x = start.copy()
     fx = residual(x)
     trace: list[IterationRecord] = []
-    history = [x.copy()] if keep_history else None
+    history = [x] if keep_history else None
     truth = p.known_root is not None and p.null_basis is not None
     errors = [iterate_error(p, x)] if truth else None
     x_prev = w_prev = prev = None
@@ -194,7 +195,7 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
             break
         trace.append(rec)
         if history is not None:
-            history.append(x_new.copy())
+            history.append(x_new)
         if errors is not None:
             errors.append(iterate_error(p, x_new, w, w_prev, rec.gamma_raw))
         x_prev, x, w_prev, prev = x, x_new, w, rec
@@ -341,7 +342,7 @@ def solve(
 
     A singular Jacobian, a non-finite residual or the iteration cap yields a
     normal non-converged outcome, with its reason in ``status``, rather than
-    an error.  With ``keep_history`` the outcome keeps a copy of every iterate.
+    an error.  With ``keep_history`` the outcome keeps every iterate, ``x`` last.
     """
     cfg = cfg or SolverConfig()
     method = MethodId(method)

@@ -325,6 +325,42 @@ def test_int_power_matches_pow_within_one_ulp(e):
         np.testing.assert_array_equal(got, want)
 
 
+def _pow_reference(x, e):
+    """|x|^e by numpy's pow, with the sign of x for odd e."""
+    y = np.power(np.abs(x), e)
+    return np.copysign(y, x) if e % 2 else y
+
+
+@pytest.mark.parametrize("e", [3, 6, 7])
+def test_int_power_bit_for_bit_where_pow_flushes_to_zero(e):
+    # _int_power sets |x| < 2^(-1076/e) to zero without calling pow; pow gives
+    # those entries +0 too (-0 after the sign for odd e), while just below
+    # 2^(-1075/e) it still gives the least subnormal for e = 3 and 6
+    def around(b):  # ten doubles on each side of b, and b
+        below, above = [b], [b]
+        for _ in range(10):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], 1.0))
+        return below[::-1] + above[1:]
+
+    flush, first = 2.0 ** (-1076.0 / e), 2.0 ** (-1075.0 / e)
+    tiny = np.concatenate([
+        around(flush), around(first),
+        np.linspace(flush / 4, 2.0 ** (-1074.0 / e), 100_001),
+        np.zeros(1000), [-0.0, 5e-324, 1.0, 3.0],
+    ])
+    x = np.concatenate([tiny, -tiny, np.zeros(1000)])
+    with np.errstate(under="ignore"):
+        got = _int_power(x, e)
+        want = _pow_reference(x, e)
+        # a block with no entry below the bound skips the mask
+        clear = x[np.abs(x) >= flush]
+        out = np.empty_like(clear)
+        assert _int_power(clear, e, out=out) is out
+        np.testing.assert_array_equal(out.view(np.int64), _pow_reference(clear, e).view(np.int64))
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestFdJacobianCheck:
     def test_exact_on_linear_map(self):
         from nasolve.core import NonlinearProblem

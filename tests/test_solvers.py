@@ -489,9 +489,10 @@ class TestProjectedLm:
         lambda: multipoly(MultipolySpec(n=1000, k=3)),
     ], ids=["heq", "multipoly"])
     def test_step_peaks_at_two_dense_arrays(self, make):
-        # damped_normal_solve holds J and J^T J, then J^T J and one factor
-        # copy: were J kept into the copies, or copied by f2py for want of
-        # Fortran order, one step would peak at three n x n arrays
+        # damped_normal_solve holds J and, per rung, the J^T J + mu I that
+        # dsyrk forms and dposv factors in place: were J^T J kept beside the
+        # factor, or J copied by f2py for want of Fortran order, one step
+        # would peak at three n x n arrays
         p = make()
         n2 = p.dim * p.dim * 8
         tracemalloc.start()
@@ -512,6 +513,21 @@ class TestProjectedLm:
         )
         out = solve(p, MethodId.proj_lm, SolverConfig())
         assert out.converged and out.iterations == 0 and out.trace == []
+
+
+@pytest.mark.parametrize("method", list(MethodId))
+def test_history_holds_the_iterates(method):
+    # no step writes into an iterate, so the history keeps the iterates
+    # themselves: x last, a copy of the start first, each a distinct array
+    p = multipoly(MultipolySpec(n=50, k=3))
+    start = p.start.copy()
+    out = solve(p, method, SolverConfig(), keep_history=True)
+    history = out.iterate_history
+    assert history[-1] is out.x
+    assert history[0] is not p.start
+    assert len({id(v) for v in history}) == len(history) == out.iterations + 1
+    np.testing.assert_array_equal(p.start, start)
+    np.testing.assert_array_equal(history[0], start)
 
 
 def _boxed(p, lo, hi):
@@ -591,9 +607,10 @@ def test_solvers_hold_no_blas_or_lapack():
 
 
 class TestCholeskyAgainstScipyWrappers:
-    """damped_normal_solve factors a Fortran-order copy in place and solves
-    with one dposv(overwrite_a=1), which calls dpotrf and dpotrs, the routines
-    cho_factor and cho_solve call, so they must agree bit for bit."""
+    """damped_normal_solve factors dsyrk's Fortran-order J^T J + mu I in place
+    and solves with one dposv(overwrite_a=1), which calls dpotrf and dpotrs,
+    the routines cho_factor and cho_solve call, so they must agree bit for
+    bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 8, 57, 300])
     def test_spd_bit_identical(self, n):
