@@ -16,11 +16,12 @@ rules hold here.  One pool: n-scale BLAS-3 and LAPACK calls go through
 OpenBLAS with its own thread pool, and on a 2-core machine a scipy call
 that follows a numpy BLAS-3 call ran up to twice as slow (the Woodbury
 capacitance, and the LM Cholesky factor after a numpy J^T J).  Fortran
-order, which f2py passes without a copy: ``to_dense`` forms J in it
-(``DenseJacobian`` returns the array it holds).  A symmetric matrix holds
-its upper triangle, which ``dsyrk`` fills and ``dposv`` reads.  An
-``info`` < 0, a rejected argument, raises ValueError; info > 0 (a zero
-pivot, a minor not positive definite) is answered on the spot.
+order, which f2py passes without a copy: ``to_dense`` returns a fresh J in
+it that the caller owns (``DenseJacobian`` a copy of the array it holds).
+A symmetric matrix holds its upper triangle, which ``dsyrk`` fills and
+``dposv`` reads.  An ``info`` < 0, a rejected argument, raises ValueError;
+info > 0 (a zero pivot, a minor not positive definite) is answered on the
+spot.
 
 ``blas`` and ``lapack`` are scipy's f2py wrappers ``scipy.linalg._fblas`` and
 ``_flapack``, loaded without the ``scipy.linalg`` package ``__init__``, which
@@ -64,6 +65,13 @@ EPS = float(np.finfo(float).eps)
 # Jacobian): the pass's buffers, a few 16384-entry arrays, stay in L2; on a
 # 2-core Xeon blocks of 8192 and 32768 rows ran slower
 BAND_BLOCK = 16384
+# column quantum of the J^T J that damped_normal_solve forms over J: a
+# column block's temporaries are at most 2 n GRAM_BLOCK entries, against J's
+# n^2.  Blocks start at multiples of it and, but for a lone block, are at
+# least this wide; so aligned, threaded dgemm and dsyrk sum each entry in the
+# same order, and the result has the bits of one dsyrk of J (scipy's
+# OpenBLAS 0.3.30 on 2 to 4 threads)
+GRAM_BLOCK = 256
 
 
 class SingularMatrix(Exception):
@@ -95,6 +103,8 @@ class JacobianMatrix:
         raise NotImplementedError
 
     def to_dense(self) -> np.ndarray:
+        """J as a fresh Fortran-ordered n x n array that the caller owns and
+        may overwrite."""
         raise NotImplementedError
 
 
@@ -132,7 +142,7 @@ class DenseJacobian(JacobianMatrix):
         return x
 
     def to_dense(self):
-        return self.a
+        return np.array(self.a, order="F")
 
 
 class UpperBidiagonalJacobian(JacobianMatrix):
@@ -267,24 +277,55 @@ class IdentityMinusLowRankJacobian(JacobianMatrix):
         return mat
 
 
+def _gram_in_place(a: np.ndarray) -> None:
+    """Overwrite the upper triangle of the Fortran-ordered n x n array a
+    with that of a^T a; below the diagonal a keeps stale entries.
+
+    Column block [lo, hi) of the upper triangle, (a^T a)[:hi, lo:hi], lies
+    in the columns of a it is formed from, so the blocks go from the last to
+    the first: the diagonal block by ``dsyrk`` and the block above it by one
+    ``dgemm`` with the columns to its left, both formed before either is
+    written, while the columns left of lo still hold a.  The two products,
+    hi x (hi - lo) entries, are the only temporaries.  Each lo is the
+    smallest multiple of GRAM_BLOCK that keeps them within 2 n GRAM_BLOCK,
+    so the blocks widen as hi falls: n <= 2 GRAM_BLOCK takes one ``dsyrk``
+    of a, n = 2000 four blocks.  Each BLAS call costs a thread handoff, which
+    a busy core slows: at n = 2000 on a 2-core Xeon with one core taken,
+    blocks of 256 columns took 1.7-1.9 times as long as one dsyrk of a,
+    these blocks 1.2-1.4 times.
+    """
+    n = hi = a.shape[1]
+    while hi:
+        lo = max(math.ceil((hi - 2 * n * GRAM_BLOCK / hi) / GRAM_BLOCK), 0) * GRAM_BLOCK
+        diag = blas.dsyrk(1.0, a[:, lo:hi], trans=1)
+        if lo:
+            a[:lo, lo:hi] = blas.dgemm(1.0, a[:, :lo], a[:, lo:hi], trans_a=1)
+        a[lo:hi, lo:hi] = diag
+        hi = lo
+
+
 def damped_normal_solve(jac: JacobianMatrix, f: np.ndarray, mus) -> tuple[np.ndarray, np.ndarray | None]:
     """(J^T f, d): d solves (J^T J + mu I) d = -J^T f for the first mu in
     ``mus`` whose ``dposv`` succeeds, and is None if none does.
 
     J^T f is one ``dgemv`` on J = ``jac.to_dense()``.  Each rung forms J^T J
-    by ``dsyrk``, adds mu and ``dposv`` factors it in place: J and one factor
-    are alive, plus a failed rung's factor while the next rung forms its own.
+    over J by ``_gram_in_place``, adds mu and ``dposv`` factors it in place,
+    so one n x n array is alive.  A rung that fails leaves its factor where
+    J was; the next rung drops it and forms J again by ``to_dense``.
     """
     a = jac.to_dense()
     jtf = blas.dgemv(1.0, a, f, trans=1)
     for mu in mus:
-        c = blas.dsyrk(1.0, a, trans=1)
-        c.flat[:: jac.n + 1] += mu
-        _, d, info = lapack.dposv(c, -jtf, overwrite_a=1)
+        if a is None:
+            a = jac.to_dense()
+        _gram_in_place(a)
+        a.flat[:: jac.n + 1] += mu
+        d, info = lapack.dposv(a, -jtf, overwrite_a=1)[1:]
         if info < 0:
             raise ValueError(f"dposv rejected argument {-info}")
         if info == 0:
             return jtf, d
+        a = None
     return jtf, None
 
 

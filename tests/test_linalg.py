@@ -18,10 +18,12 @@ from nasolve.core import SolverConfig
 from nasolve.linalg import (
     BAND_BLOCK,
     EPS,
+    GRAM_BLOCK,
     DenseJacobian,
     IdentityMinusLowRankJacobian,
     SingularMatrix,
     UpperBidiagonalJacobian,
+    _gram_in_place,
     blas,
     damped_normal_solve,
     lapack,
@@ -410,8 +412,10 @@ class TestDampedNormalSolve:
         assert d is None
 
     def test_each_rung_factors_normal_plus_mu_identity(self, monkeypatch):
-        # every matrix dposv factors is dsyrk's J^T J (upper triangle, zeros
-        # below) plus mu * np.eye, bit for bit; the rank-one toy takes two rungs
+        # the upper triangle of every matrix dposv factors, the one it reads
+        # with uplo U, is _gram_in_place's J^T J plus mu * np.eye, bit for
+        # bit; below the diagonal lie stale entries.  The rank-one toys take
+        # two rungs, the size-2B+1 cases two column blocks
         dposv = lapack.dposv
         factored = []
 
@@ -420,20 +424,134 @@ class TestDampedNormalSolve:
             return dposv(a, b, **kwargs)
 
         monkeypatch.setattr(lapack, "dposv", recording_dposv)
-        for (jac, f), rungs in ((_regular_case("low_rank"), 1), ((RANK_ONE["dense"], np.ones(2)), 2)):
+        n = 2 * GRAM_BLOCK + 1
+        heq = h_equation(HEquationSpec(n=n, omega=1.0))
+        cases = (
+            (_regular_case("low_rank"), 1),
+            ((RANK_ONE["dense"], np.ones(2)), 2),
+            ((heq.jacobian(heq.start), heq.residual(heq.start)), 1),
+            ((_rank_one_dense(n), np.ones(n)), 2),
+        )
+        for (jac, f), rungs in cases:
             mus = _ladder(f)
             factored.clear()
             assert damped_normal_solve(jac, f, mus)[1] is not None
-            normal = blas.dsyrk(1.0, jac.to_dense(), trans=1)
+            normal = jac.to_dense()
+            _gram_in_place(normal)
             assert len(factored) == rungs
             for a, mu in zip(factored, mus):
-                np.testing.assert_array_equal(a, normal + mu * np.eye(jac.n))
+                np.testing.assert_array_equal(np.triu(a), np.triu(normal) + mu * np.eye(jac.n))
 
     @pytest.mark.parametrize("kind", ["dense", "banded", "low_rank"])
     def test_to_dense_in_fortran_order_but_dense(self, kind):
-        # the order f2py passes to dgemv and dsyrk without a copy
+        # a fresh array in the order f2py passes to dgemv, dsyrk and dposv
+        # without a copy, which damped_normal_solve overwrites: it shares no
+        # memory with the arrays the Jacobian holds
         jac, _ = _regular_case(kind)
-        assert jac.to_dense().flags.f_contiguous == (kind != "dense")
+        a = jac.to_dense()
+        assert a.flags.f_contiguous and a.flags.writeable
+        held = [v for v in vars(jac).values() if isinstance(v, np.ndarray)]
+        assert held and not any(np.shares_memory(a, v) for v in held)
+        np.testing.assert_allclose(a, _numpy_dense(jac), rtol=0.0, atol=1e-14)
+
+    def test_later_rung_over_column_blocks(self):
+        # a failed rung's factor lies where J was: the second rung forms J
+        # again by to_dense, and the step peaks at one n x n array plus one
+        # column block's two products, at most 2 n GRAM_BLOCK entries
+        n = 2 * GRAM_BLOCK + 1
+        jac, f = _rank_one_dense(n), np.ones(n)
+        mus = _ladder(f)
+        calls = []
+        to_dense = jac.to_dense
+        jac.to_dense = lambda: calls.append(1) or to_dense()
+        tracemalloc.start()
+        try:
+            jtf, d = damped_normal_solve(jac, f, mus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 2
+        jtf_ref, d_ref = _normal_reference(jac, f, mus[1])
+        np.testing.assert_array_equal(jtf, jtf_ref)
+        assert _rel_err(d, d_ref) <= 1e-3
+        n2 = n * n * 8
+        assert n2 <= peak < n2 + n * (2 * GRAM_BLOCK + 16) * 8
+
+
+def _rank_one_dense(n):
+    """RANK_ONE's banded matrix at size n, as a DenseJacobian: first row 1e6,
+    the rest zero.  J^T J = 1e12 1 1^T, its Cholesky factor's first row 1e6 and
+    the Schur complement 0 are exact, and the first rung's mu, below half an
+    ulp of 1e12 for f = ones(n), n < 6000, is lost."""
+    a = np.zeros((n, n))
+    a[0] = 1e6
+    return DenseJacobian(a)
+
+
+# one column block up to 2 GRAM_BLOCK, two at 2 GRAM_BLOCK + 1, three at 1600
+GRAM_SIZES = [1, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK,
+              2 * GRAM_BLOCK + 1, 1600]
+
+
+def _gram_case(kind, n):
+    """A Fortran-ordered n x n J: standard normal entries, or the
+    H-equation's Jacobian at its start."""
+    if kind == "random":
+        return np.asfortranarray(np.random.default_rng(n).standard_normal((n, n)))
+    p = h_equation(HEquationSpec(n=n, omega=1.0))
+    return p.jacobian(p.start).to_dense()
+
+
+class TestGramInPlace:
+    """_gram_in_place against one dsyrk of J, on one to three column
+    blocks."""
+
+    @pytest.mark.parametrize("n", GRAM_SIZES)
+    @pytest.mark.parametrize("kind", ["random", "heq"])
+    def test_upper_triangle_within_rounding_of_one_dsyrk(self, n, kind):
+        # an entry is the dot product of two columns a_i, a_j of J, which any
+        # two summation orders give within 2 gamma_n |a_i|^T |a_j|,
+        # gamma_n = n eps / (1 - n eps)
+        a = _gram_case(kind, n)
+        ref = blas.dsyrk(1.0, a, trans=1)
+        bound = blas.dsyrk(2 * n * EPS / (1 - n * EPS), np.abs(a), trans=1)
+        _gram_in_place(a)
+        assert np.all(np.abs(np.triu(a) - ref) <= bound)
+
+    def test_bit_identical_to_one_dsyrk_on_two_threads(self):
+        # with blocks that start at multiples of GRAM_BLOCK, threaded dgemm
+        # and dsyrk sum each entry in the same order (scipy's OpenBLAS 0.3.30,
+        # on 2, 3 and 4 threads), so proj_lm's iterates keep the bits of one
+        # dsyrk of J.  On one thread dgemm splits the inner dimension
+        # otherwise than dsyrk, and entries differ in the last bits
+        out = _fresh_python(f"""
+            import numpy as np
+            from nasolve.linalg import _gram_in_place, blas
+            from nasolve.problems import HEquationSpec, h_equation
+            for n in {GRAM_SIZES}:
+                p = h_equation(HEquationSpec(n=n, omega=1.0))
+                random = np.asfortranarray(np.random.default_rng(n).standard_normal((n, n)))
+                for kind, a in (("random", random), ("heq", p.jacobian(p.start).to_dense())):
+                    ref = blas.dsyrk(1.0, a, trans=1)
+                    _gram_in_place(a)
+                    print(kind, n, np.triu(a).tobytes() == ref.tobytes())
+            """, OPENBLAS_NUM_THREADS="2")
+        assert out.splitlines() == [f"{kind} {n} True" for n in GRAM_SIZES for kind in ("random", "heq")]
+
+    def test_dposv_reads_no_entry_below_the_diagonal(self):
+        # _gram_in_place leaves stale entries of J below the diagonal
+        n = 2 * GRAM_BLOCK + 1
+        rng = np.random.default_rng(7)
+        a = blas.dsyrk(1.0, np.asfortranarray(rng.standard_normal((n, n))), trans=1)
+        a.flat[:: n + 1] += 1e-3
+        b = rng.standard_normal(n)
+        stale = a.copy(order="F")
+        stale[np.tril_indices(n, -1)] = np.nan
+        c, x, info = lapack.dposv(a, b, overwrite_a=1)
+        c_stale, x_stale, info_stale = lapack.dposv(stale, b, overwrite_a=1)
+        assert info == info_stale == 0
+        assert np.triu(c).tobytes() == np.triu(c_stale).tobytes()
+        assert x.tobytes() == x_stale.tobytes()
 
 
 class TestStructuredSolveAgainstReference:
@@ -735,11 +853,12 @@ def test_norm2_bit_identical_to_numpy_norm(label):
     assert got_warnings == want_warnings
 
 
-def _fresh_python(code: str) -> str:
-    """Run code in a new interpreter that imports this nasolve; its stdout."""
+def _fresh_python(code: str, **environ: str) -> str:
+    """Run code in a new interpreter that imports this nasolve, with the
+    environment variables ``environ`` added; its stdout."""
     src = str(Path(nasolve.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src, **environ)
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
