@@ -34,8 +34,9 @@ STATUSES = (
 
 
 def check_count(name: str, value, least: int) -> None:
-    """Raise ValueError unless ``value`` is an integer (numpy's included) >= least."""
-    if not isinstance(value, Integral):
+    """Raise ValueError unless ``value`` is an integer >= least: numpy's
+    integers count, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"need an integer {name}, got {value!r}")
     if value < least:
         raise ValueError(f"need {name} >= {least}, got {value}")

@@ -282,8 +282,16 @@ def fd_jacobian_check(p: NonlinearProblem, x: np.ndarray) -> float:
 # the ulp.  exp, sin and cos stay numpy's for their bits too.
 
 
-def _boxed(name, residual, jacobian, lo, hi) -> NonlinearProblem:
-    """A registry problem on the box [lo, hi], started at its lower corner."""
+def _boxed(name, residual_rows, jacobian_rows, lo, hi) -> NonlinearProblem:
+    """A registry problem on the box [lo, hi], started at its lower corner,
+    whose residual and Jacobian are made from the rows its formulas return."""
+
+    def residual(x):
+        return np.array(residual_rows(x))
+
+    def jacobian(x):
+        return DenseJacobian(jacobian_rows(x))
+
     return NonlinearProblem(name, residual, jacobian, start=lo.copy(), bounds=(lo, hi))
 
 
@@ -293,24 +301,18 @@ def _himmelbau(name: str) -> NonlinearProblem:
         x1, x2 = x.tolist()
         x1_3, x2_2, x1_2, x2_3 = (float(x[0] ** 3), float(x[1] ** 2),
                                   float(x[0] ** 2), float(x[1] ** 3))
-        return np.array(
-            [
-                4.0 * x1_3 + 4.0 * x1 * x2 + 2.0 * x2_2 - 42.0 * x1 - 14.0,
-                2.0 * x1_2 + 4.0 * x1 * x2 + 4.0 * x2_3 - 26.0 * x2 - 22.0,
-            ]
-        )
+        return [
+            4.0 * x1_3 + 4.0 * x1 * x2 + 2.0 * x2_2 - 42.0 * x1 - 14.0,
+            2.0 * x1_2 + 4.0 * x1 * x2 + 4.0 * x2_3 - 26.0 * x2 - 22.0,
+        ]
 
     def jacobian(x):
         x1, x2 = x.tolist()
         x1_2, x2_2 = float(x[0] ** 2), float(x[1] ** 2)
-        return DenseJacobian(
-            np.array(
-                [
-                    [12.0 * x1_2 + 4.0 * x2 - 42.0, 4.0 * x1 + 4.0 * x2],
-                    [4.0 * x1 + 4.0 * x2, 12.0 * x2_2 + 4.0 * x1 - 26.0],
-                ]
-            )
-        )
+        return [
+            [12.0 * x1_2 + 4.0 * x2 - 42.0, 4.0 * x1 + 4.0 * x2],
+            [4.0 * x1 + 4.0 * x2, 12.0 * x2_2 + 4.0 * x1 - 26.0],
+        ]
 
     lo = np.array([-5.0, -5.0])
     hi = np.array([5.0, 5.0])
@@ -330,50 +332,29 @@ def _eq_combustion(name: str) -> NonlinearProblem:
     def residual(x):
         x1, x2, x3, x4, x5 = x.tolist()
         x2_2, x3_2, x4_2 = float(x[1] ** 2), float(x[2] ** 2), float(x[3] ** 2)
-        return np.array(
-            [
-                x1 * x2 + x1 - 3.0 * x5,
-                2.0 * x1 * x2 + x1 + 2.0 * R10 * x2_2 + x2 * x3_2
-                + R7 * x2 * x3 + R9 * x2 * x4 + R8 * x2 - R * x5,
-                2.0 * x2 * x3_2 + R7 * x2 * x3 + 2.0 * R5 * x3_2 + R6 * x3 - 8.0 * x5,
-                R9 * x2 * x4 + 2.0 * x4_2 - 4.0 * R * x5,
-                x1 * x2 + x1 + R10 * x2_2 + x2 * x3_2 + R7 * x2 * x3
-                + R9 * x2 * x4 + R8 * x2 + R5 * x3_2 + R6 * x3 + x4_2 - 1.0,
-            ]
-        )
+        return [
+            x1 * x2 + x1 - 3.0 * x5,
+            2.0 * x1 * x2 + x1 + 2.0 * R10 * x2_2 + x2 * x3_2
+            + R7 * x2 * x3 + R9 * x2 * x4 + R8 * x2 - R * x5,
+            2.0 * x2 * x3_2 + R7 * x2 * x3 + 2.0 * R5 * x3_2 + R6 * x3 - 8.0 * x5,
+            R9 * x2 * x4 + 2.0 * x4_2 - 4.0 * R * x5,
+            x1 * x2 + x1 + R10 * x2_2 + x2 * x3_2 + R7 * x2 * x3
+            + R9 * x2 * x4 + R8 * x2 + R5 * x3_2 + R6 * x3 + x4_2 - 1.0,
+        ]
 
     def jacobian(x):
         x1, x2, x3, x4, x5 = x.tolist()
         x3_2 = float(x[2] ** 2)
-        return DenseJacobian(
-            np.array(
-                [
-                    [x2 + 1.0, x1, 0.0, 0.0, -3.0],
-                    [
-                        2.0 * x2 + 1.0,
-                        2.0 * x1 + 4.0 * R10 * x2 + x3_2 + R7 * x3 + R9 * x4 + R8,
-                        2.0 * x2 * x3 + R7 * x2,
-                        R9 * x2,
-                        -R,
-                    ],
-                    [
-                        0.0,
-                        2.0 * x3_2 + R7 * x3,
-                        4.0 * x2 * x3 + R7 * x2 + 4.0 * R5 * x3 + R6,
-                        0.0,
-                        -8.0,
-                    ],
-                    [0.0, R9 * x4, 0.0, R9 * x2 + 4.0 * x4, -4.0 * R],
-                    [
-                        x2 + 1.0,
-                        x1 + 2.0 * R10 * x2 + x3_2 + R7 * x3 + R9 * x4 + R8,
-                        2.0 * x2 * x3 + R7 * x2 + 2.0 * R5 * x3 + R6,
-                        R9 * x2 + 2.0 * x4,
-                        0.0,
-                    ],
-                ]
-            )
-        )
+        return [
+            [x2 + 1.0, x1, 0.0, 0.0, -3.0],
+            [2.0 * x2 + 1.0, 2.0 * x1 + 4.0 * R10 * x2 + x3_2 + R7 * x3 + R9 * x4 + R8,
+             2.0 * x2 * x3 + R7 * x2, R9 * x2, -R],
+            [0.0, 2.0 * x3_2 + R7 * x3, 4.0 * x2 * x3 + R7 * x2 + 4.0 * R5 * x3 + R6,
+             0.0, -8.0],
+            [0.0, R9 * x4, 0.0, R9 * x2 + 4.0 * x4, -4.0 * R],
+            [x2 + 1.0, x1 + 2.0 * R10 * x2 + x3_2 + R7 * x3 + R9 * x4 + R8,
+             2.0 * x2 * x3 + R7 * x2 + 2.0 * R5 * x3 + R6, R9 * x2 + 2.0 * x4, 0.0],
+        ]
 
     lo = np.full(5, 1e-4)
     hi = np.full(5, 100.0)
@@ -383,15 +364,11 @@ def _eq_combustion(name: str) -> NonlinearProblem:
 def _bullard_biegler(name: str) -> NonlinearProblem:
     def residual(x):
         x1, x2 = x.tolist()
-        return np.array(
-            [1.0e4 * x1 * x2 - 1.0, np.exp(-x1) + np.exp(-x2) - 1.001]
-        )
+        return [1.0e4 * x1 * x2 - 1.0, np.exp(-x1) + np.exp(-x2) - 1.001]
 
     def jacobian(x):
         x1, x2 = x.tolist()
-        return DenseJacobian(
-            np.array([[1.0e4 * x2, 1.0e4 * x1], [-np.exp(-x1), -np.exp(-x2)]])
-        )
+        return [[1.0e4 * x2, 1.0e4 * x1], [-np.exp(-x1), -np.exp(-x2)]]
 
     lo = np.array([5.49e-6, 2.196e-3])
     hi = np.array([4.553, 18.21])
@@ -403,24 +380,18 @@ def _ferraris_tronconi(name: str) -> NonlinearProblem:
 
     def residual(x):
         x1, x2 = x.tolist()
-        return np.array(
-            [
-                0.5 * np.sin(x1 * x2) - 0.25 * x2 / np.pi - 0.5 * x1,
-                a * (np.exp(2.0 * x1) - np.e) + np.e * x2 / np.pi - 2.0 * np.e * x1,
-            ]
-        )
+        return [
+            0.5 * np.sin(x1 * x2) - 0.25 * x2 / np.pi - 0.5 * x1,
+            a * (np.exp(2.0 * x1) - np.e) + np.e * x2 / np.pi - 2.0 * np.e * x1,
+        ]
 
     def jacobian(x):
         x1, x2 = x.tolist()
         c = 0.5 * np.cos(x1 * x2)
-        return DenseJacobian(
-            np.array(
-                [
-                    [c * x2 - 0.5, c * x1 - 0.25 / np.pi],
-                    [2.0 * a * np.exp(2.0 * x1) - 2.0 * np.e, np.e / np.pi],
-                ]
-            )
-        )
+        return [
+            [c * x2 - 0.5, c * x1 - 0.25 / np.pi],
+            [2.0 * a * np.exp(2.0 * x1) - 2.0 * np.e, np.e / np.pi],
+        ]
 
     lo = np.array([0.25, 1.5])
     hi = np.array([1.0, 2.0 * np.pi])
@@ -437,13 +408,13 @@ def _browns_almost_linear(name: str) -> NonlinearProblem:
         s = xs[0]
         for v in xs[1:]:
             s += v  # left to right: np.sum's order below eight entries
-        return np.array([v + s - (n + 1.0) for v in xs[:-1]] + [math.prod(xs) - 1.0])
+        return [v + s - (n + 1.0) for v in xs[:-1]] + [math.prod(xs) - 1.0]
 
     def jacobian(x):
         xs = x.tolist()
         jm = linear.copy()
         jm[-1] = [math.prod(xs[:j] + xs[j + 1:]) for j in range(n)]
-        return DenseJacobian(jm)
+        return jm
 
     lo = np.full(n, -2.0)
     hi = np.full(n, 2.0)
@@ -454,24 +425,22 @@ def _robot_kinematics(name: str) -> NonlinearProblem:
     def residual(x):
         x1, x2, x3, x4, x5, x6, x7, x8 = x.tolist()
         s1, s2, s3, s4, s5, s6, s7, s8 = [float(v ** 2) for v in x]
-        return np.array(
-            [
-                0.004731 * x1 * x3 - 0.3578 * x2 * x3 - 0.1238 * x1 + x7
-                - 0.001637 * x2 - 0.9338 * x4 - 0.3571,
-                0.2238 * x1 * x3 + 0.7623 * x2 * x3 + 0.2638 * x1 - x7
-                - 0.07745 * x2 - 0.6734 * x4 - 0.6022,
-                x6 * x8 + 0.3578 * x1 + 0.004731 * x2,
-                -0.7623 * x1 + 0.2238 * x2 + 0.3461,
-                s1 + s2 - 1.0,
-                s3 + s4 - 1.0,
-                s5 + s6 - 1.0,
-                s7 + s8 - 1.0,
-            ]
-        )
+        return [
+            0.004731 * x1 * x3 - 0.3578 * x2 * x3 - 0.1238 * x1 + x7
+            - 0.001637 * x2 - 0.9338 * x4 - 0.3571,
+            0.2238 * x1 * x3 + 0.7623 * x2 * x3 + 0.2638 * x1 - x7
+            - 0.07745 * x2 - 0.6734 * x4 - 0.6022,
+            x6 * x8 + 0.3578 * x1 + 0.004731 * x2,
+            -0.7623 * x1 + 0.2238 * x2 + 0.3461,
+            s1 + s2 - 1.0,
+            s3 + s4 - 1.0,
+            s5 + s6 - 1.0,
+            s7 + s8 - 1.0,
+        ]
 
     def jacobian(x):
         x1, x2, x3, x4, x5, x6, x7, x8 = x.tolist()
-        return DenseJacobian(np.array([
+        return [
             [0.004731 * x3 - 0.1238, -0.3578 * x3 - 0.001637,
              0.004731 * x1 - 0.3578 * x2, -0.9338, 0.0, 0.0, 1.0, 0.0],
             [0.2238 * x3 + 0.2638, 0.7623 * x3 - 0.07745,
@@ -482,7 +451,7 @@ def _robot_kinematics(name: str) -> NonlinearProblem:
             [0.0, 0.0, 2.0 * x3, 2.0 * x4, 0.0, 0.0, 0.0, 0.0],
             [0.0, 0.0, 0.0, 0.0, 2.0 * x5, 2.0 * x6, 0.0, 0.0],
             [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0 * x7, 2.0 * x8],
-        ]))
+        ]
 
     lo = np.full(8, -1.0)
     hi = np.full(8, 1.0)

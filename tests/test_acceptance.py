@@ -84,7 +84,7 @@ def test_criterion_01_multipoly_newton_counts_exact():
 
 
 @pytest.mark.skipif(os.environ.get("NASOLVE_FULL_SCALE") != "1",
-                    reason="n = 10^7: 70-80 s and 1.0 GB; set NASOLVE_FULL_SCALE=1")
+                    reason="n = 10^7: 40-50 s and 1.0 GB; set NASOLVE_FULL_SCALE=1")
 def test_criterion_01b_multipoly_ten_million_counts_exact():
     """The chained polynomial at n = 10^7: Newton keeps its n = 10^4 counts
     14/16/17 and gamma-NA takes 6/7/7 for k = 2/3/7.  Peak RSS over the six

@@ -199,6 +199,22 @@ class TestSolverConfig:
         assert SolverConfig(max_iters=np.int64(50)).max_iters == 50
 
 
+# bool is an Integral: True would pass as 1 and name a problem heq_nTrue_w1
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda v: SolverConfig(max_iters=v), "max_iters"),
+        (lambda v: HEquationSpec(n=v), "n"),
+        (lambda v: MultipolySpec(n=v), "n"),
+    ],
+    ids=["SolverConfig.max_iters", "HEquationSpec.n", "MultipolySpec.n"],
+)
+def test_bool_counts_rejected(make, name, value):
+    with pytest.raises(ValueError, match=f"need an integer {name}, got {value}"):
+        make(value)
+
+
 def _square_problem():
     return NonlinearProblem(
         name="square",

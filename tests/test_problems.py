@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -505,6 +506,65 @@ class TestRegistryFormulas:
                 f, jm = p.residual(x), p.jacobian(x).to_dense()
             assert f.tobytes() == want.tobytes(), x
             assert jm[-1].tobytes() == np.array(row).tobytes(), x
+
+
+# sha256 of residual(x).tobytes() and of jacobian(x).to_dense().tobytes(), at
+# p.start and at the box midpoint (lo + hi) / 2: a change of evaluation order
+# or of the array conversion that moves one bit of one entry fails here
+REGISTRY_PINS = {
+    "Himmelbau": (
+        ("b3b305a70557cfc44b47282c7604c3c48b8060ebacdff783635a0b6079c1939d",
+         "f2700e566af76a1bc0b276e46db9c9277b4a102245e4faca466e7466199f4147"),
+        ("47a10d2c0ef069403e6fac8a2488ebec2c7f05683ce4affde4d3b3440d09d267",
+         "ff4713680eff2ab2e1fcaf922803722836693e88efc54ccd99150867443a271d"),
+    ),
+    "Eq-Combustion": (
+        ("90ac93227854a86d26007344df72bda8c129ddd67c15d960221bff6d850ef120",
+         "df0da5976f47dafd0658aec9d13893040f6847716f5493e8d29a0f8454b32c1b"),
+        ("bf42c0a78a7d14431a914ffdc306ead517199cec41e677774b77237892e9abe6",
+         "532495b0cf3aac0f6d7611049db64fc86aad988f346b63f02e5e70a572360803"),
+    ),
+    "Bullard-Biegler": (
+        ("c6721a3dfb563d51d6f018c02bc54076faf9811c715d485a4c262eb2b7def381",
+         "b53b3c1dc40197db215cb369d5408dcd104180eed7a924c3736191fda26a923a"),
+        ("3985496856d40e59207a30202c03e30b26b05586b6756c1b3e342bb36fc02e7a",
+         "d3d3855f674dc6ef635f471eec06e01aa0a98e63abad2b46201b0e255e686c4c"),
+    ),
+    "Ferraris-Tronconi": (
+        ("f5454f2dcea3670ce89da238eb9c42abea2a03b9b74af8853335dbdfefff066b",
+         "e326cd64b65aaa818cc9b25f349a6d6698f3786f5bd34c391c2d2ef6196b6008"),
+        ("764c2aaf02f939f2121f2500a19a7cc43196aa48311ac7e9de12b2c5834e69bd",
+         "d74b2b4b3aae5473f89a32deb9cffa8fa17ee91d3a7a2847b075ab6c5a694e67"),
+    ),
+    "Brown's Al. Lin.": (
+        ("b68263c5792ed44cb7561ed806dcb234b589b4c75d116d300444e0b3ebc25a88",
+         "a2ac51547c5d1678bf6dc8e5d463eb5ab907a6b1efa6dc3ed7788875e008c945"),
+        ("297f20ba737f1c52e1306780aae052c14cecfc3e652ae165c6a9c8ee53041e2e",
+         "cfa37b7334b29d462aeb56cecff24de609360b491da97d4ae225b8b45f5f33e6"),
+    ),
+    "Robot Kin. Sys.": (
+        ("52f14b0d271bccc3f0bb606705e549e2ece65e5cd6f70bbad23490ca8ce49568",
+         "ac46825e70a82abd085d90f0461b13825499a1da95fc29c449f313e111ef0024"),
+        ("16b846a0bd4f90af86ef045c6f183c38720fc91552d23a2d6b03e1498404ff80",
+         "aacb8249ca98f667ce57f7dbf37d0685bc30f70795f9de4aebdf8605cff1afa8"),
+    ),
+}
+
+
+def test_registry_pins_cover_every_transcribed_problem():
+    assert list(REGISTRY_PINS) == [p.name for p in registry()]
+
+
+@pytest.mark.parametrize("name", list(REGISTRY_PINS))
+def test_registry_formulas_keep_their_bits(name):
+    p = registry_entry(name)
+    lo, hi = p.bounds
+    got = tuple(
+        (hashlib.sha256(p.residual(x).tobytes()).hexdigest(),
+         hashlib.sha256(p.jacobian(x).to_dense().tobytes()).hexdigest())
+        for x in (p.start, 0.5 * (lo + hi))
+    )
+    assert got == REGISTRY_PINS[name]
 
 
 def test_with_ground_truth_keeps_every_other_field():
