@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .core import IterateError, NonlinearProblem, SolveOutcome
-from .linalg import lstsq_gamma, norm2
+from .linalg import BAND_BLOCK, lstsq_gamma, norm2
 
 COMPAT_C = 2.0  # step k is compatible if ||P_N e_{k+1}|| <= COMPAT_C * theta_{k+1} * ||w_{k+1}||
 RHO_DOM = 3.0  # a term dominates another when it is larger by this factor
@@ -45,13 +45,23 @@ class PairLabel:
     strong: bool
 
 
-def theta_gain(w_next: np.ndarray, w_prev: np.ndarray, gamma_used: float) -> float:
-    """Optimization gain ||w_next - gamma*(w_next - w_prev)|| / ||w_next||."""
-    w_next = np.asarray(w_next, dtype=float)
-    nw = norm2(w_next)
-    if nw == 0.0:
+def theta_gain(w_next: np.ndarray, w_prev: np.ndarray, gamma_used: float,
+               d: np.ndarray | None = None, w_next_norm: float | None = None) -> float:
+    """Optimization gain ||w_next - gamma*(w_next - w_prev)|| / ||w_next||.
+
+    A caller that holds d = w_next - w_prev and ||w_next|| passes them, and
+    the numerator is formed in d's buffer, which it overwrites; else both
+    are computed here, to the same bits.
+    """
+    if w_next_norm is None:
+        w_next = np.asarray(w_next, dtype=float)
+        w_next_norm = norm2(w_next)
+    if w_next_norm == 0.0:
         raise ZeroStep("||w_next|| = 0")
-    return norm2(w_next - gamma_used * (w_next - np.asarray(w_prev))) / nw
+    if d is None:
+        d = w_next - np.asarray(w_prev)
+    d *= gamma_used
+    return norm2(np.subtract(w_next, d, out=d)) / w_next_norm
 
 
 _PAIR_KINDS = {("N", "N"): PairKind.N_pair, ("R", "R"): PairKind.R_pair,
@@ -175,9 +185,14 @@ def iterate_error(p: NonlinearProblem, x: np.ndarray, w: np.ndarray | None = Non
     basis = p.null_basis
     e = x - p.known_root
     c = basis.T @ e
-    # e -= P_N e = B c; np.dot: for a one-column basis ``basis @ c`` takes
-    # about six times as long at n = 10^5, same bits
-    e -= np.dot(basis, c)
+    # e -= P_N e = B c, over blocks of BAND_BLOCK rows, so that e is the one
+    # n-vector formed.  Each row of B c has the bits the whole product gives
+    # it for a one-column basis, which every ground truth here has, and for a
+    # C-ordered one; a Fortran-ordered one of several columns may differ in
+    # the last bit.  np.dot: for a one-column basis ``basis @ c`` takes about
+    # six times as long at n = 10^5, same bits
+    for lo in range(0, len(e), BAND_BLOCK):
+        e[lo:lo + BAND_BLOCK] -= np.dot(basis[lo:lo + BAND_BLOCK], c)
     gamma = None if w is None or w_prev is None else (gamma_raw or lstsq_gamma(w, w_prev))
     d = None if w is None else basis.T @ w
     return IterateError(c, norm2(e), d, gamma)

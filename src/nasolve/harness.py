@@ -164,36 +164,40 @@ def _cells(problem: str, row: MethodRow, fmt_res) -> tuple[str, ...]:
     )
 
 
+def _summary_rows(reports: list[RunReport]) -> list[tuple[str, ...]]:
+    return [_cells(report.problem, row, _fmt_float) for report in reports for row in report.rows]
+
+
 def summary_records(reports: list[RunReport]) -> list[dict]:
     """Rows of the summary table with paper-style F/dash placeholders."""
+    return [dict(zip(SUMMARY_COLUMNS, row)) for row in _summary_rows(reports)]
+
+
+def _history_rows(outcome: SolveOutcome) -> list[list[str]]:
     return [
-        dict(zip(SUMMARY_COLUMNS, _cells(report.problem, row, _fmt_float)))
-        for report in reports
-        for row in report.rows
+        [v if isinstance(v, str) else _fmt_float(v) for v in vars(rec).values()]
+        for rec in outcome.trace
     ]
 
 
 def history_records(outcome: SolveOutcome) -> list[dict]:
     """One row per step in HISTORY_COLUMNS order; a number (int fields
     included, which .17g prints as str does) gets 17 significant digits."""
-    return [
-        dict(zip(HISTORY_COLUMNS, [
-            v if isinstance(v, str) else _fmt_float(v) for v in vars(rec).values()
-        ]))
-        for rec in outcome.trace
-    ]
+    return [dict(zip(HISTORY_COLUMNS, row)) for row in _history_rows(outcome)]
 
 
-def _write_rows(path: Path, fieldnames, records, fmt: str):
+def _write_rows(path: Path, columns, rows, fmt: str):
+    """Write ``rows``, sequences of cells in ``columns`` order: CSV rows as
+    they are, JSON as one object per row."""
     try:
         if fmt == "csv":
             with open(path, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=fieldnames)
-                writer.writeheader()
-                writer.writerows(records)
+                writer = csv.writer(fh)
+                writer.writerow(columns)
+                writer.writerows(rows)
         elif fmt == "json":
             with open(path, "w") as fh:
-                json.dump(records, fh, indent=1)
+                json.dump([dict(zip(columns, row)) for row in rows], fh, indent=1)
                 fh.write("\n")
         else:
             raise ValueError(f"unknown format {fmt!r}")
@@ -214,7 +218,7 @@ def emit_report(report: RunReport, fmt: str = "csv", out_dir="results") -> list[
         if row.outcome is None:
             continue
         hist_path = out / f"{safe_problem}_{row.method.value}_history.{fmt}"
-        _write_rows(hist_path, HISTORY_COLUMNS, history_records(row.outcome), fmt)
+        _write_rows(hist_path, HISTORY_COLUMNS, _history_rows(row.outcome), fmt)
         paths.append(hist_path)
     return paths
 
@@ -223,7 +227,7 @@ def write_summary(reports: list[RunReport], path, fmt: str = "csv") -> Path:
     """Write a combined summary file for a list of reports."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_rows(path, SUMMARY_COLUMNS, summary_records(reports), fmt)
+    _write_rows(path, SUMMARY_COLUMNS, _summary_rows(reports), fmt)
     return path
 
 

@@ -6,7 +6,9 @@ the diagonal), and an identity minus a weighted rank-r product,
 I - diag(w) E M E^T, held as an n-vector w, one n x r factor E and an
 r x r core M.  Each class is the only home of its format, its solve
 included.  The interface is ``matvec``, ``solve`` and ``to_dense``; the
-solvers reach ``to_dense`` only through ``damped_normal_solve``.
+solvers reach ``to_dense`` only through ``damped_normal_solve``.  ``solve``
+returns a fresh array that the caller owns, which the Newton step negates
+in place, and leaves b untouched.
 
 Every BLAS and LAPACK call of nasolve is made here but one: the dense SVD
 of ``problems.with_ground_truth``, ``np.linalg.svd`` in numpy's pool, which
@@ -21,7 +23,10 @@ it that the caller owns (``DenseJacobian`` a copy of the array it holds).
 A symmetric matrix holds its upper triangle, which ``dsyrk`` fills and
 ``dposv`` reads.  An ``info`` < 0, a rejected argument, raises ValueError;
 info > 0 (a zero pivot, a minor not positive definite) is answered on the
-spot.
+spot.  The banded solve is BLAS ``dtbsv``, which reports nothing: its class
+tests every pivot in one blocked pass before it, the exactly zero pivot
+that LAPACK's ``dtbtrs`` reports by info > 0 included, and so skips the
+second pass over the diagonal that ``dtbtrs`` made.
 
 ``blas`` and ``lapack`` are scipy's f2py wrappers ``scipy.linalg._fblas`` and
 ``_flapack``, loaded without the ``scipy.linalg`` package ``__init__``, which
@@ -100,6 +105,8 @@ class JacobianMatrix:
         raise NotImplementedError
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """J^{-1} b for an n-vector b, as a fresh array that the caller owns
+        and may overwrite; b is left untouched."""
         raise NotImplementedError
 
     def to_dense(self) -> np.ndarray:
@@ -151,7 +158,7 @@ class UpperBidiagonalJacobian(JacobianMatrix):
     Held as one Fortran-ordered 2 x n array in LAPACK's upper band layout,
     ``band[1, j] = M[j, j]`` and ``band[0, j] = M[j-1, j]``; ``band[0, 0]``
     lies outside the matrix and is never read.  The caller writes the band
-    once and ``dtbtrs`` takes it without a copy; ``diag`` and ``superdiag``
+    once and ``dtbsv`` takes it without a copy; ``diag`` and ``superdiag``
     are views of it.
     """
 
@@ -170,53 +177,64 @@ class UpperBidiagonalJacobian(JacobianMatrix):
         out[:-1] += self.superdiag * v[1:]
         return out
 
-    def _negligible_pivot(self) -> int:
-        """The highest row i < n-1 whose |diag[i]| <= EPS |superdiag[i]|, else -1.
+    def _pivot_fault(self) -> str | None:
+        """Why back substitution must not run on this band, or None.
+
+        The last pivot faults when exactly zero.  Above it the test is row-
+        relative: the highest row i < n-1 whose |diag[i]| <= EPS |superdiag[i]|
+        is named, the row back substitution meets first.  A zero pivot that a
+        NaN row entry hides from that test (0 <= NaN is false) is named next,
+        the lowest first, as LAPACK's ``dtbtrs`` names it.  A NaN pivot
+        passes.
 
         Taken over blocks of BAND_BLOCK rows, from the last block down, in
         buffers that stay in cache, so no n-length temporary is formed: at
         n = 10^7 the test over whole rows took 87 ms, the blocked one 25 ms
-        (2-core Xeon).
+        (2-core Xeon).  A block whose every row has |diag| > EPS |superdiag|
+        is done with one comparison; only one that fails it, with a
+        negligible pivot or a NaN, is searched for the row.
         """
+        if self.diag[-1] == 0.0:
+            return "last pivot is exactly zero"
         rows = max(min(BAND_BLOCK, self.n - 1), 1)
-        d_abs, s_abs, bad = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
+        d_abs, s_abs, ok = np.empty(rows), np.empty(rows), np.empty(rows, dtype=bool)
+        hidden_zero = -1
         for hi in range(self.n - 1, 0, -rows):
             lo = max(hi - rows, 0)
             m = hi - lo
             d = np.abs(self.band[1, lo:hi], out=d_abs[:m])
             s = np.abs(self.band[0, lo + 1:hi + 1], out=s_abs[:m])
             s *= EPS
-            if np.less_equal(d, s, out=bad[:m]).any():
-                return lo + int(np.flatnonzero(bad[:m])[-1])
-        return -1
+            if np.greater(d, s, out=ok[:m]).all():
+                continue
+            negligible = np.flatnonzero(d <= s)
+            if negligible.size:
+                i = lo + int(negligible[-1])
+                return (f"pivot {self.diag[i]:.3e} at row {i} negligible against row entry "
+                        f"{self.superdiag[i]:.3e}")
+            zeros = np.flatnonzero(d == 0.0)
+            if zeros.size:
+                hidden_zero = lo + int(zeros[0])
+        return None if hidden_zero < 0 else f"pivot at row {hidden_zero} is exactly zero"
 
     def solve(self, b):
-        """Back substitution in O(n): one LAPACK banded triangular solve (``dtbtrs``).
+        """Back substitution in O(n): one BLAS banded triangular solve
+        (``dtbsv``), in place on the copy of b that it returns.
 
-        Pivot collapse is judged row-relatively: no elimination takes place here,
-        so a tiny but exactly representable pivot in a row it alone occupies is
-        still a well-conditioned division (the global-matrix-scale test used for
-        dense LU would falsely reject it).  An exactly zero pivot always raises.
-        The pivots are checked before the solve; back substitution meets the
-        highest row first, so that is the row the error names.  A NaN pivot passes
-        the test and propagates into the solution.
+        Pivot collapse is judged row-relatively (``_pivot_fault``): no
+        elimination takes place here, so a tiny but exactly representable
+        pivot in a row it alone occupies is still a well-conditioned division
+        (the global-matrix-scale test used for dense LU would falsely reject
+        it).  An exactly zero pivot always raises.  The pivots are checked
+        before the solve, which ``dtbsv`` does not do; a NaN pivot passes the
+        test and propagates into the solution.  ``dtbsv`` is what LAPACK's
+        ``dtbtrs`` calls after its zero-pivot check, so the solution has
+        ``dtbtrs``'s bits.
         """
-        b = np.asarray(b, dtype=float)
-        if self.diag[-1] == 0.0:
-            raise SingularMatrix("last pivot is exactly zero")
-        i = self._negligible_pivot()
-        if i >= 0:
-            raise SingularMatrix(
-                f"pivot {self.diag[i]:.3e} at row {i} negligible against row entry "
-                f"{self.superdiag[i]:.3e}"
-            )
-        x, info = lapack.dtbtrs(self.band, b, uplo="U", trans="N", diag="N")
-        if info > 0:
-            # only reachable when a NaN row entry hid an exactly zero pivot
-            raise SingularMatrix(f"pivot at row {info - 1} is exactly zero")
-        if info < 0:
-            raise ValueError(f"dtbtrs rejected argument {-info}")
-        return x
+        fault = self._pivot_fault()
+        if fault is not None:
+            raise SingularMatrix(fault)
+        return blas.dtbsv(1, self.band, np.array(b, dtype=float), overwrite_x=1)
 
     def to_dense(self):
         m = np.diag(self.diag)  # lower bidiagonal J^T, so m.T is J in Fortran order
@@ -329,17 +347,21 @@ def damped_normal_solve(jac: JacobianMatrix, f: np.ndarray, mus) -> tuple[np.nda
     return jtf, None
 
 
-def lstsq_gamma(w_next: np.ndarray, w_prev: np.ndarray) -> float | None:
+def lstsq_gamma(w_next, w_prev, d=None, w_next_norm=None, w_prev_norm=None) -> float | None:
     """Extrapolation coefficient minimizing || w_next - g*(w_next - w_prev) || over g.
 
-    Closed form: g = (w_next - w_prev)^T w_next / ||w_next - w_prev||^2.
+    Closed form: g = d^T w_next / ||d||^2 with d = w_next - w_prev.
     Returns None when the two steps coincide to machine precision, so that g
-    is undefined; the caller then takes a plain Newton step.
+    is undefined; the caller then takes a plain Newton step.  A caller that
+    holds d and the norms ||w_next||, ||w_prev|| passes all three, and
+    nothing n-long is formed here; else they are computed, to the same bits.
     """
-    w_next = np.asarray(w_next, dtype=float)
-    w_prev = np.asarray(w_prev, dtype=float)
-    d = w_next - w_prev
+    if d is None:
+        w_next = np.asarray(w_next, dtype=float)
+        w_prev = np.asarray(w_prev, dtype=float)
+        d = w_next - w_prev
+        w_next_norm, w_prev_norm = norm2(w_next), norm2(w_prev)
     dn = norm2(d)
-    if dn <= EPS * (norm2(w_next) + norm2(w_prev)):
+    if dn <= EPS * (w_next_norm + w_prev_norm):
         return None
     return float(d @ w_next) / (dn * dn)

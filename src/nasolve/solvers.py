@@ -55,14 +55,20 @@ class SafeguardDecision:
     took_newton_step: bool
 
 
-def anderson_combine(x_k, x_km1, w_next, w_prev, gamma: float) -> np.ndarray:
-    """Depth-1 Anderson recombination of the two most recent iterates/updates.
+def anderson_combine(x_k, x_km1, w_next, w_prev, gamma: float, scratch=None) -> np.ndarray:
+    """Depth-1 Anderson recombination of the two most recent iterates/updates,
+    x_k + w_next - gamma * (x_k - x_km1 + w_next - w_prev) in that order.
 
-    On large vectors numpy's temporary elision already evaluates this in two
-    n-length buffers (tracemalloc peak 2.0 n at n = 10^5), as a hand-written
-    in-place version would.
+    Two n-length buffers: the result, and the second temporary, formed in
+    ``scratch`` when the caller passes an n-array it may overwrite.
     """
-    return x_k + w_next - gamma * (x_k - x_km1 + w_next - w_prev)
+    t = np.subtract(x_k, x_km1, out=scratch)
+    t += w_next
+    t -= w_prev
+    t *= gamma
+    x_new = x_k + w_next
+    x_new -= t
+    return x_new
 
 
 def gamma_safeguard(
@@ -221,12 +227,17 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, method: Method
 
     def step(k, x, fx, res, residual, x_prev, w_prev, prev):
         jac = p.jacobian(x)
-        w = jac.solve(-fx)
+        # J^{-1}(-f) without forming -f: rounding to nearest is odd in the
+        # sign, so negating J^{-1} f gives its bits, but for the sign of an
+        # exactly zero entry (a - a is +0 for either sign of a)
+        w = jac.solve(fx)
+        np.negative(w, out=w)
         w_norm = norm2(w)
 
         gamma_raw, lam, gamma_used, theta, kind = 0.0, 1.0, 0.0, 1.0, "newton"
         if anderson and k > 0:
-            gamma_raw = lstsq_gamma(w, w_prev)
+            dw = w - w_prev  # the step's one difference vector, later its scratch
+            gamma_raw = lstsq_gamma(w, w_prev, dw, w_norm, prev.step_norm)
             if gamma_raw is None:
                 gamma_raw = 0.0  # stagnated direction: plain Newton step
             elif safeguard:
@@ -240,10 +251,11 @@ def _newton_anderson_step(p: NonlinearProblem, cfg: SolverConfig, method: Method
                 kind = "anderson"
 
         if kind == "anderson":
-            x_new = anderson_combine(x, x_prev, w, w_prev, gamma_used)
-            theta = theta_gain(w, w_prev, gamma_used)
+            theta = theta_gain(w, w_prev, gamma_used, dw, w_norm)
+            x_new = anderson_combine(x, x_prev, w, w_prev, gamma_used, dw)
         else:
             x_new = x + w
+        dw = None  # freed before the residual forms its n-vector
 
         f_new = residual(x_new)
         ls_evals = 0

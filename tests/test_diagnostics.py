@@ -16,7 +16,7 @@ from nasolve.diagnostics import (
     iterate_error,
     theta_gain,
 )
-from nasolve.linalg import DenseJacobian, SingularMatrix, lstsq_gamma
+from nasolve.linalg import BAND_BLOCK, DenseJacobian, SingularMatrix, lstsq_gamma, norm2
 from nasolve.problems import (
     HEquationSpec,
     MultipolySpec,
@@ -26,6 +26,8 @@ from nasolve.problems import (
     with_ground_truth,
 )
 from nasolve.solvers import MethodId, solve
+
+from test_linalg import _bits, _peak_bytes  # tests/ is on sys.path under pytest's default import mode
 
 
 def toy_problem(n=4):
@@ -96,6 +98,35 @@ class TestSplitError:
             np.testing.assert_allclose(again.null, c, atol=1e-12)
             assert again.range_norm <= 1e-12
 
+    @pytest.mark.parametrize("m, order", [(1, "C"), (3, "C"), (1, "F")])
+    def test_range_norm_over_row_blocks_keeps_the_bits(self, m, order):
+        # B c subtracted block by block gives each row the bits of the whole
+        # product, so the range norm is that of e - B c formed at once
+        n = 2 * BAND_BLOCK + 7
+        rng = np.random.default_rng(m)
+        basis = np.asarray(rng.standard_normal((n, m)), order=order)
+        root = rng.standard_normal(n)
+        p = replace(multipoly(MultipolySpec(n=n, k=3)), known_root=root, null_basis=basis)
+        x = root + rng.standard_normal(n)
+        e = x - root
+        c = basis.T @ e
+        (err,) = _recorded(p, [x], [])
+        np.testing.assert_array_equal(_bits(err.null), _bits(c))
+        assert err.range_norm.hex() == norm2(e - np.dot(basis, c)).hex()
+
+    def test_memory_budget(self):
+        # e = x - x* is the one n-vector iterate_error forms: B c, subtracted
+        # over BAND_BLOCK rows, adds one block (0.16 n at n = 10^5), where the
+        # whole product made the peak 2 n.  A nonzero gamma_raw is recorded
+        # as it is, so lstsq_gamma forms nothing
+        n = 10**5
+        p = multipoly(MultipolySpec(n=n, k=3))
+        rng = np.random.default_rng(5)
+        x, w, w_prev = (rng.uniform(-1.0, 1.0, n) for _ in range(3))
+        for args in ((), (w, w_prev, 0.25)):
+            peak = _peak_bytes(lambda: iterate_error(p, x, *args))
+            assert n * 8 <= peak < 1.25 * n * 8
+
     def test_missing_truth_raises(self):
         p = NonlinearProblem(
             name="nt", residual=lambda x: x.copy(),
@@ -123,6 +154,21 @@ class TestThetaGain:
     def test_zero_step_raises(self):
         with pytest.raises(ZeroStep):
             theta_gain(np.zeros(2), np.ones(2), 0.5)
+
+    @pytest.mark.parametrize("n", [1, 8, BAND_BLOCK + 3])
+    def test_difference_and_norm_passed_keep_the_bits(self, n):
+        # the Newton-Anderson step passes d = w - w_prev and ||w||, and the
+        # numerator is formed in d; the value is the formula's to the bit
+        rng = np.random.default_rng(n)
+        w, wp = (rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n) for _ in range(2))
+        gamma = 0.6180339887
+        ref = norm2(w - gamma * (w - wp)) / norm2(w)
+        assert theta_gain(w, wp, gamma).hex() == ref.hex()
+        d = w - wp
+        assert theta_gain(w, wp, gamma, d, norm2(w)).hex() == ref.hex()
+        np.testing.assert_array_equal(_bits(d), _bits(w - gamma * (w - wp)))
+        with pytest.raises(ZeroStep):
+            theta_gain(np.zeros(n), wp, gamma, -wp, 0.0)
 
     def test_raw_gamma_minimizes_over_grid(self):
         from nasolve.linalg import lstsq_gamma

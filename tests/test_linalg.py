@@ -92,6 +92,10 @@ def _rel_err(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 class TestLuSolve:
     def test_identity(self):
         x = DenseJacobian(np.eye(3)).solve(np.array([1.0, 2.0, 3.0]))
@@ -216,6 +220,35 @@ def _random_band(rng, n):
     diag = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
     sup = rng.uniform(-1.0, 1.0, n - 1)
     return diag, sup
+
+
+SOLVE_CASES = {
+    "dense-0": lambda rng: (DenseJacobian(np.empty((0, 0))), np.empty(0)),
+    "dense-3": lambda rng: (DenseJacobian(rng.standard_normal((3, 3)) + 3.0 * np.eye(3)),
+                            rng.standard_normal(3)),
+    "banded": lambda rng: (band_jacobian(*_random_band(rng, 2 * BAND_BLOCK + 7)),
+                           rng.standard_normal(2 * BAND_BLOCK + 7)),
+    "low-rank": lambda rng: (h_equation(HEquationSpec(n=300, omega=1.0)).jacobian(1.0 + rng.random(300)),
+                             rng.standard_normal(300)),
+}
+
+
+@pytest.mark.parametrize("label", SOLVE_CASES)
+def test_solve_returns_a_fresh_array_and_leaves_b_untouched(label):
+    # JacobianMatrix.solve's contract, on which the Newton step negates
+    # J^{-1} f in place: the result shares memory with neither b nor the
+    # Jacobian, so overwriting it changes no later solve, and b keeps its bits
+    jac, b = SOLVE_CASES[label](np.random.default_rng(17))
+    b_before = b.copy()
+    held = [v for v in vars(jac).values() if isinstance(v, np.ndarray)]
+    x = jac.solve(b)
+    np.testing.assert_array_equal(_bits(b), _bits(b_before))
+    assert x is not b and not np.shares_memory(x, b)
+    assert held and not any(np.shares_memory(x, v) for v in held)
+    first = x.copy()
+    x[...] = np.nan
+    np.testing.assert_array_equal(_bits(jac.solve(b)), _bits(first))
+    np.testing.assert_array_equal(_bits(b), _bits(b_before))
 
 
 class TestBandedAgainstDense:
@@ -618,9 +651,19 @@ class TestStructuredSolveAgainstReference:
         with pytest.raises(SingularMatrix, match="row 1 is exactly zero"):
             a.solve(np.ones(3))
 
+    def test_lowest_of_two_hidden_zero_pivots_is_named(self):
+        # dtbtrs's report, info = row + 1, names the lowest exactly zero
+        # pivot; the pivot test that runs before dtbsv names the same row
+        a = band_jacobian(np.array([1.0, 0.0, 1.0, 0.0, 1.0]),
+                          np.array([1.0, np.nan, 1.0, np.nan]))
+        assert lapack.dtbtrs(a.band, np.ones(5))[1] == 2
+        with pytest.raises(SingularMatrix, match="row 1 is exactly zero"):
+            a.solve(np.ones(5))
 
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
+    def test_negligible_pivot_named_before_a_hidden_zero(self):
+        a = band_jacobian(np.array([1.0, 0.0, 1.0, 1e-20, 1.0]),
+                          np.array([1.0, np.nan, 1.0, 1.0]))
+        assert "at row 3 " in _expect_same_outcome(a, np.ones(5))
 
 
 class TestMultipolyBand:
@@ -765,6 +808,14 @@ class TestPivotBlocks:
         with pytest.raises(SingularMatrix, match=f"row {row} is exactly zero"):
             band_jacobian(diag, sup).solve(np.ones(n))
 
+    def test_lowest_hidden_zero_pivot_named_across_blocks(self):
+        n = 2 * B + 3
+        diag, sup = np.full(n, 2.0), np.full(n - 1, 1.0)
+        for row in (B - 1, 2 * B + 1):
+            diag[row], sup[row] = 0.0, np.nan
+        with pytest.raises(SingularMatrix, match=f"row {B - 1} is exactly zero"):
+            band_jacobian(diag, sup).solve(np.ones(n))
+
     @pytest.mark.parametrize("shape", [(2, 0), (1, 5), (3, 5), (5,), (2, 3, 1)])
     def test_band_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="band"):
@@ -781,6 +832,17 @@ class TestLstsqGamma:
     def test_degenerate_returns_none(self):
         w = np.array([1.0, 2.0])
         assert lstsq_gamma(w, w.copy()) is None
+
+    @pytest.mark.parametrize("n", [1, 8, BAND_BLOCK + 3])
+    def test_difference_and_norms_passed_keep_the_bits(self, n):
+        # what the Newton-Anderson step passes: d = w - w_prev and both norms
+        rng = np.random.default_rng(n)
+        w, wp = (rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n) for _ in range(2))
+        d = w - wp
+        ref = float(d @ w) / (norm2(d) * norm2(d))
+        assert lstsq_gamma(w, wp).hex() == ref.hex()
+        assert lstsq_gamma(w, wp, d, norm2(w), norm2(wp)).hex() == ref.hex()
+        assert lstsq_gamma(w, w.copy(), np.zeros(n), norm2(w), norm2(w)) is None
 
     def test_grid_oracle_20dim(self):
         # brute-force 1-D scan of the objective at 1e-5 spacing
@@ -887,7 +949,7 @@ def test_solving_never_imports_the_scipy_linalg_package():
     assert out.strip() == "[]"
 
 
-BLAS_ROUTINES = ("dgemm", "dgemv", "dsyrk")
+BLAS_ROUTINES = ("dgemm", "dgemv", "dsyrk", "dtbsv")
 LAPACK_ROUTINES = ("dgetrf", "dgetrs", "dtbtrs", "dposv")
 
 

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from nasolve import solvers
 from nasolve.core import STATUSES, STEP_KINDS, NonlinearProblem, SolverConfig
+from nasolve.diagnostics import theta_gain
 from nasolve.linalg import (
+    BAND_BLOCK,
     GRAM_BLOCK,
     DenseJacobian,
     IdentityMinusLowRankJacobian,
@@ -21,6 +23,8 @@ from nasolve.linalg import (
     blas,
     damped_normal_solve,
     lapack,
+    lstsq_gamma,
+    norm2,
 )
 from nasolve.problems import (
     HEquationSpec,
@@ -41,7 +45,7 @@ from nasolve.solvers import (
     solve,
 )
 
-from test_linalg import band_jacobian  # tests/ is on sys.path under pytest's default import mode
+from test_linalg import _bits, band_jacobian  # tests/ is on sys.path under pytest's default import mode
 
 # the four depth-1 Newton-Anderson methods
 NA_METHODS = tuple(m for m in MethodId if m not in (MethodId.newton, MethodId.proj_lm))
@@ -145,6 +149,25 @@ class TestAndersonCombine:
             np.array([0.5]), np.array([1.0]), np.array([-0.25]), np.array([-0.5]), -1.0
         )
         assert x2[0] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 7, BAND_BLOCK + 3])
+    def test_formula_order_bit_for_bit_with_and_without_scratch(self, n):
+        # the one-line formula in its evaluation order, which heq and the
+        # registry share; the scratch buffer ends up holding the second
+        # temporary, gamma * (x_k - x_km1 + w_next - w_prev)
+        rng = np.random.default_rng(n)
+        x_k, x_km1, w_next, w_prev = (rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+                                      for _ in range(4))
+        gamma = -0.3711
+        ref = x_k + w_next - gamma * (x_k - x_km1 + w_next - w_prev)
+        np.testing.assert_array_equal(
+            _bits(anderson_combine(x_k, x_km1, w_next, w_prev, gamma)), _bits(ref))
+        scratch = np.empty(n)
+        out = anderson_combine(x_k, x_km1, w_next, w_prev, gamma, scratch)
+        np.testing.assert_array_equal(_bits(out), _bits(ref))
+        assert not np.shares_memory(out, scratch)
+        np.testing.assert_array_equal(
+            _bits(scratch), _bits(gamma * (x_k - x_km1 + w_next - w_prev)))
 
 
 class TestGammaSafeguard:
@@ -315,6 +338,63 @@ class TestNewtonAndersonSolve:
             d = w - wp
             sin2 = 1.0 - (d @ w) ** 2 / (np.dot(d, d) * np.dot(w, w))
             assert theta == pytest.approx(np.sqrt(max(sin2, 0.0)), abs=1e-10)
+
+
+def _same(a, b) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
+@pytest.mark.parametrize("method", [MethodId.n_anderson, MethodId.gamma_n_anderson])
+@pytest.mark.parametrize("make", [
+    lambda: multipoly(MultipolySpec(n=2 * BAND_BLOCK + 7, k=3)),
+    lambda: h_equation(HEquationSpec(n=300, omega=1.0)),
+], ids=["multipoly", "heq"])
+def test_step_values_are_the_two_argument_formulas_bit_for_bit(make, method):
+    # the step solves for J^{-1} f and negates it in place, forms
+    # w_{k+1} - w_k once and hands it with the two norms to lstsq_gamma,
+    # theta_gain and anderson_combine; every value must be the one the
+    # functions give from the update recomputed as J^{-1}(-f) at the kept
+    # iterate, with no difference vector or norm passed, to the bit
+    p = make()
+    out = solve(p, method, SolverConfig(r=0.7), keep_history=True)
+    assert out.converged
+    xs = out.iterate_history
+    kinds = Counter()
+    w_prev = None
+    for rec, x_prev, x, x_new in zip(out.trace, [None] + xs, xs, xs[1:]):
+        w = p.jacobian(x).solve(-p.residual(x))
+        assert _same(rec.step_norm, norm2(w))
+        gamma = None if rec.k == 0 else lstsq_gamma(w, w_prev)
+        assert _same(rec.gamma_raw, 0.0 if gamma is None else gamma)
+        if rec.step_kind == "anderson":
+            assert _same(rec.theta, theta_gain(w, w_prev, rec.gamma_used))
+            ref = anderson_combine(x, x_prev, w, w_prev, rec.gamma_used)
+        else:
+            assert rec.step_kind == "newton" and rec.theta == 1.0
+            ref = x + w
+        np.testing.assert_array_equal(_bits(x_new), _bits(ref))
+        kinds[rec.step_kind] += 1
+        w_prev = w
+    assert kinds["anderson"] > 0 and kinds["newton"] > 0
+
+
+def test_gamma_na_solve_memory_budget():
+    # one multipoly gamma-NA solve at n = 10^5 (7 steps, an error record per
+    # iterate) peaked at 10.01 n doubles when -f, lstsq_gamma's difference
+    # and theta_gain's two temporaries were formed apart.  With one shared
+    # difference vector, freed before the residual, it peaks at 9.17 n:
+    # x_k, x_{k-1}, f(x_k), w_k, the 2 n band, w_{k+1}, x_{k+1}, f(x_{k+1})
+    # and one BAND_BLOCK block of the residual.  The bound is 0.33 n above
+    n = 10**5
+    p = multipoly(MultipolySpec(n=n, k=3))
+    tracemalloc.start()
+    try:
+        out = solve(p, MethodId.gamma_n_anderson, SolverConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.converged and out.iterations == 7
+    assert peak < 9.5 * n * 8
 
 
 def armijo_search(p, x, d, step0, trials=31):
