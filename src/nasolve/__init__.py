@@ -35,7 +35,6 @@ from .problems import (
     fd_jacobian_check,
     h_equation,
     multipoly,
-    registry,
     registry_entry,
     with_ground_truth,
 )

@@ -42,6 +42,17 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"need {name} >= {least}, got {value}")
 
 
+def _read_only(a, order: str = "K") -> np.ndarray:
+    """``a`` as a read-only float array: kept as it is if it already is one,
+    else a read-only view of np.asarray(a, dtype=float, order=order), which
+    copies only to convert or to reorder."""
+    a = np.asarray(a, dtype=float, order=order)
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class NonlinearProblem:
     """Square system f(x) = 0 with an analytic Jacobian.
@@ -52,6 +63,14 @@ class NonlinearProblem:
     diagnostics; ``bounds`` is a box constraint used only by the projected
     Levenberg-Marquardt comparator.  ``start`` is 1-D, possibly empty, and
     ``dim`` is ``len(start)``.
+
+    The arrays ``start``, ``known_root``, ``null_basis`` and both ``bounds``
+    are read-only.  A read-only float array is kept as it is, so
+    ``dataclasses.replace`` keeps the same objects; any other is held as a
+    read-only view of ``np.asarray(a, dtype=float)``, which copies no float
+    array, so a caller that later writes into an array it passed still
+    changes the problem.  ``null_basis`` is held in C order, which copies a
+    Fortran-ordered basis of several columns.
     """
 
     name: str
@@ -63,10 +82,12 @@ class NonlinearProblem:
     bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
-        for name in ("known_root", "null_basis"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "start", _read_only(self.start))
+        if self.known_root is not None:
+            object.__setattr__(self, "known_root", _read_only(self.known_root))
+        if self.null_basis is not None:
+            # C order: iterate_error's blocked B c then has the whole product's bits
+            object.__setattr__(self, "null_basis", _read_only(self.null_basis, order="C"))
         if self.start.ndim != 1:
             raise ValueError(f"need a 1-D start, got shape {self.start.shape}")
         dim, root, basis = self.dim, self.known_root, self.null_basis
@@ -75,7 +96,7 @@ class NonlinearProblem:
         if basis is not None and (basis.ndim != 2 or len(basis) != dim or basis.shape[1] < 1):
             raise ValueError(f"need null_basis of shape ({dim}, m) with m >= 1, got {basis.shape}")
         if self.bounds is not None:
-            lo, hi = (np.asarray(b, dtype=float) for b in self.bounds)
+            lo, hi = (_read_only(b) for b in self.bounds)
             if lo.shape != (dim,) or hi.shape != (dim,):
                 raise ValueError(f"need bounds of shape ({dim},), got {lo.shape} and {hi.shape}")
             object.__setattr__(self, "bounds", (lo, hi))
@@ -139,7 +160,9 @@ IterateError = namedtuple("IterateError", "null range_norm update gamma")
 class SolveOutcome:
     """Result of a solve.  ``trace`` always holds per-step scalars; the full
     iterate list is retained only when requested (large-n histories are big),
-    and holds the iterates themselves: ``iterate_history[-1] is x``.
+    and holds the iterates themselves: ``iterate_history[-1] is x``, and
+    ``iterate_history[0]`` is the problem's read-only ``start``, or for
+    ``proj_lm`` its projection onto the box.
 
     ``status`` is one of STATUSES and says why the run stopped; ``f_evals``
     counts the residual evaluations the run made, start point included.

@@ -187,10 +187,10 @@ def iterate_error(p: NonlinearProblem, x: np.ndarray, w: np.ndarray | None = Non
     c = basis.T @ e
     # e -= P_N e = B c, over blocks of BAND_BLOCK rows, so that e is the one
     # n-vector formed.  Each row of B c has the bits the whole product gives
-    # it for a one-column basis, which every ground truth here has, and for a
-    # C-ordered one; a Fortran-ordered one of several columns may differ in
-    # the last bit.  np.dot: for a one-column basis ``basis @ c`` takes about
-    # six times as long at n = 10^5, same bits
+    # it, because NonlinearProblem holds the basis in C order; over a
+    # Fortran-ordered one of several columns they may differ in the last bit.
+    # np.dot: for a one-column basis ``basis @ c`` takes about six times as
+    # long at n = 10^5, same bits
     for lo in range(0, len(e), BAND_BLOCK):
         e[lo:lo + BAND_BLOCK] -= np.dot(basis[lo:lo + BAND_BLOCK], c)
     gamma = None if w is None or w_prev is None else (gamma_raw or lstsq_gamma(w, w_prev))

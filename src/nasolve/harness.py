@@ -174,16 +174,12 @@ def summary_records(reports: list[RunReport]) -> list[dict]:
 
 
 def _history_rows(outcome: SolveOutcome) -> list[list[str]]:
+    """One row per step in HISTORY_COLUMNS order; a number (int fields
+    included, which .17g prints as str does) gets 17 significant digits."""
     return [
         [v if isinstance(v, str) else _fmt_float(v) for v in vars(rec).values()]
         for rec in outcome.trace
     ]
-
-
-def history_records(outcome: SolveOutcome) -> list[dict]:
-    """One row per step in HISTORY_COLUMNS order; a number (int fields
-    included, which .17g prints as str does) gets 17 significant digits."""
-    return [dict(zip(HISTORY_COLUMNS, row)) for row in _history_rows(outcome)]
 
 
 def _write_rows(path: Path, columns, rows, fmt: str):

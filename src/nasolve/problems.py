@@ -292,7 +292,7 @@ def _boxed(name, residual_rows, jacobian_rows, lo, hi) -> NonlinearProblem:
     def jacobian(x):
         return DenseJacobian(jacobian_rows(x))
 
-    return NonlinearProblem(name, residual, jacobian, start=lo.copy(), bounds=(lo, hi))
+    return NonlinearProblem(name, residual, jacobian, start=lo, bounds=(lo, hi))
 
 
 def _himmelbau(name: str) -> NonlinearProblem:
@@ -492,8 +492,3 @@ def registry_entry(name: str) -> NonlinearProblem:
     if name in _UNTRANSCRIBED:
         raise ProblemUnavailable(f"{name}: source definition not transcribed")
     raise KeyError(f"unknown registry problem {name!r}")
-
-
-def registry() -> list[NonlinearProblem]:
-    """All transcribed small-scale benchmark problems."""
-    return [build(name) for name, build in _TRANSCRIBED.items()]

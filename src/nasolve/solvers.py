@@ -157,9 +157,10 @@ def _stop_status(res: float, tol: float, at_cap: bool) -> str | None:
 
 
 def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) -> SolveOutcome:
-    """The iteration every method shares, from ``start`` until a status in
-    core.STATUSES applies: pass k = 0..max_iters takes ||f(x_k)|| and asks
-    _stop_status, the one stop test, which names the cap at k == max_iters.
+    """The iteration every method shares, from x_0 = ``start`` itself, not a
+    copy, until a status in core.STATUSES applies: pass k = 0..max_iters takes
+    ||f(x_k)|| and asks _stop_status, the one stop test, which names the cap
+    at k == max_iters.
 
     _drive alone holds the iteration's memory; a step keeps none between
     calls.  ``step(k, x, fx, res, residual, x_prev, w_prev, prev)`` is given
@@ -182,7 +183,7 @@ def _drive(p: NonlinearProblem, cfg: SolverConfig, start, step, keep_history) ->
         next(calls)
         return p.residual(v)
 
-    x = start.copy()
+    x = start
     fx = residual(x)
     trace: list[IterationRecord] = []
     history = [x] if keep_history else None
@@ -355,6 +356,13 @@ def solve(
     A singular Jacobian, a non-finite residual or the iteration cap yields a
     normal non-converged outcome, with its reason in ``status``, rather than
     an error.  With ``keep_history`` the outcome keeps every iterate, ``x`` last.
+
+    No solve copies or writes into the problem's arrays, which are read-only.
+    The Newton-Anderson methods start from ``p.start`` itself: it is
+    ``iterate_history[0]``, and the ``x`` of a run that takes no step.
+    ``proj_lm`` starts from its own projection of it onto the box.  A caller
+    that writes into an array it passed to the problem changes the problem,
+    and so the start of a later solve.
     """
     cfg = cfg or SolverConfig()
     method = MethodId(method)

@@ -35,7 +35,6 @@ from nasolve.problems import (
     MultipolySpec,
     h_equation,
     multipoly,
-    registry,
     registry_entry,
     fd_jacobian_check,
 )
@@ -44,6 +43,8 @@ from nasolve.solvers import (
     gamma_safeguard,
     solve,
 )
+
+from test_problems import TRANSCRIBED  # tests/ is on sys.path under pytest's default import mode
 
 CFG = SolverConfig()
 # the four depth-1 Newton-Anderson methods
@@ -309,7 +310,7 @@ def test_criterion_10_jacobian_correctness():
     """Every shipped problem passes the central-difference Jacobian check at
     its start and at one random interior point, to 1e-6."""
     rng = np.random.default_rng(99)
-    shipped = list(registry())
+    shipped = [registry_entry(name) for name in TRANSCRIBED]
     shipped.append(multipoly(MultipolySpec(n=20, k=3)))
     shipped.append(multipoly(MultipolySpec(n=20, k=7)))
     shipped.append(h_equation(HEquationSpec(n=50, omega=0.5)))

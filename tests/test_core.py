@@ -168,6 +168,57 @@ class TestGroundTruthShapes:
             replace(p, null_basis=basis)
 
 
+class TestReadOnlyArrays:
+    """The problem's arrays are read-only.  A read-only float array is kept as
+    it is; any other is held as a read-only view of np.asarray(a, dtype=float),
+    with no copy, except that a Fortran-ordered null basis of several columns
+    is held in C order."""
+
+    @staticmethod
+    def _boxed(n=50):
+        p = multipoly(MultipolySpec(n=n, k=3))
+        return replace(p, bounds=(np.full(n, -1.0), np.full(n, 1.0)))
+
+    def test_writes_into_the_arrays_raise(self):
+        p = self._boxed()
+        for a in (p.start, p.known_root, p.null_basis, *p.bounds):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_replace_keeps_the_same_objects(self):
+        p = self._boxed()
+        q = replace(p, name="renamed")
+        for name in ("start", "known_root", "null_basis"):
+            assert getattr(q, name) is getattr(p, name), name
+        assert all(a is b for a, b in zip(q.bounds, p.bounds))
+
+    def test_a_writeable_array_is_held_as_a_view(self):
+        # no copy: a caller that writes into the array it passed changes the problem
+        start, lo = np.zeros(3), np.full(3, -1.0)
+        p = NonlinearProblem(name="view", residual=lambda x: x, jacobian=None,
+                             start=start, bounds=(lo, -lo))
+        assert p.start is not start and p.start.base is start
+        assert p.bounds[0].base is lo and start.flags.writeable
+        start[0] = 2.0
+        assert p.start[0] == 2.0
+
+    def test_other_dtypes_are_converted(self):
+        p = NonlinearProblem(name="ints", residual=lambda x: x, jacobian=None, start=[1, 2])
+        assert p.start.dtype == np.float64 and not p.start.flags.writeable
+
+    @pytest.mark.parametrize("order, copied", [("C", False), ("F", True)])
+    def test_null_basis_is_held_in_c_order(self, order, copied):
+        basis = np.asarray(np.eye(4)[:, :2], order=order)
+        p = NonlinearProblem(name="basis", residual=lambda x: x, jacobian=None,
+                             start=np.zeros(4), null_basis=basis)
+        assert p.null_basis.flags.c_contiguous
+        assert np.shares_memory(p.null_basis, basis) is not copied
+        np.testing.assert_array_equal(p.null_basis, basis)
+        column = np.asfortranarray(np.eye(4)[:, 3:])  # one column: C order too, no copy
+        assert replace(p, null_basis=column).null_basis.base is column
+
+
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()

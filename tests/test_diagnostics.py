@@ -114,6 +114,32 @@ class TestSplitError:
         np.testing.assert_array_equal(_bits(err.null), _bits(c))
         assert err.range_norm.hex() == norm2(e - np.dot(basis, c)).hex()
 
+    @pytest.mark.parametrize("n", [2 * BAND_BLOCK + 7, 5 * BAND_BLOCK + 3])
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_fortran_ordered_basis_keeps_the_bits(self, m, n, monkeypatch):
+        # a Fortran-ordered basis of several columns: blocked, its B c may
+        # differ from the whole product in the last bit, so the problem holds
+        # it in C order, a copy of the same values.  The range part e - B c
+        # is caught where iterate_error takes its norm
+        rng = np.random.default_rng(10 * m + n % 10)
+        basis = np.asfortranarray(rng.standard_normal((n, m)))
+        root = rng.standard_normal(n)
+        p = NonlinearProblem(
+            name="toy", residual=lambda x: x.copy(),
+            jacobian=lambda x: DenseJacobian(np.eye(n)),
+            start=np.ones(n), known_root=root, null_basis=basis,
+        )
+        assert p.null_basis.flags.c_contiguous
+        np.testing.assert_array_equal(_bits(p.null_basis), _bits(basis))
+        x = root + rng.standard_normal(n)
+        e = x - root
+        c = p.null_basis.T @ e
+        ranged = []
+        monkeypatch.setattr(diagnostics, "norm2", lambda v: ranged.append(v.copy()) or norm2(v))
+        (err,) = _recorded(p, [x], [])
+        np.testing.assert_array_equal(_bits(err.null), _bits(c))
+        np.testing.assert_array_equal(_bits(ranged[0]), _bits(e - p.null_basis @ c))
+
     def test_memory_budget(self):
         # e = x - x* is the one n-vector iterate_error forms: B c, subtracted
         # over BAND_BLOCK rows, adds one block (0.16 n at n = 10^5), where the

@@ -13,9 +13,10 @@ from nasolve.core import IterationRecord, SolveOutcome, SolverConfig
 from nasolve.harness import (
     HISTORY_COLUMNS,
     ExperimentSpec,
+    MethodRow,
+    RunReport,
     compare_table,
     emit_report,
-    history_records,
     run_experiment,
     run_registry,
     summary_records,
@@ -434,15 +435,18 @@ class TestHistoryLayout:
         assert (rec.gamma_raw, rec.lam, rec.gamma_used, rec.theta, rec.ls_evals) == (
             0.0, 1.0, 0.0, 1.0, 0)
 
-    def test_row_formats_each_field_in_order(self):
+    def test_row_formats_each_field_in_order(self, tmp_path):
         rec = IterationRecord(k=12, res_norm=0.1, step_norm=2.0, gamma_raw=-1 / 3,
                               lam=0.5, gamma_used=-1 / 6, theta=0.25,
                               step_kind="anderson_linesearch", ls_evals=3)
         outcome = SolveOutcome(final_res=0.0, x=np.zeros(1), status="converged", f_evals=5,
                                trace=[rec])
-        assert history_records(outcome) == [{
-            "k": "12", "res_norm": "0.10000000000000001", "step_norm": "2",
-            "gamma_raw": "-0.33333333333333331", "lambda": "0.5",
-            "gamma_used": "-0.16666666666666666", "theta": "0.25",
-            "step_kind": "anderson_linesearch", "ls_evals": "3",
-        }]
+        row = ["12", "0.10000000000000001", "2", "-0.33333333333333331", "0.5",
+               "-0.16666666666666666", "0.25", "anderson_linesearch", "3"]
+        assert harness._history_rows(outcome) == [row]
+        report = RunReport("toy", [MethodRow(MethodId.gamma_armijo_n_anderson, outcome)])
+        csv_hist = emit_report(report, "csv", tmp_path)[1]
+        with open(csv_hist, newline="") as fh:
+            assert list(csv.reader(fh)) == [list(HISTORY_COLUMNS), row]
+        json_hist = emit_report(report, "json", tmp_path)[1]
+        assert json.loads(json_hist.read_text()) == [dict(zip(HISTORY_COLUMNS, row))]

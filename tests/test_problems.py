@@ -17,7 +17,6 @@ from nasolve.problems import (
     fd_jacobian_check,
     h_equation,
     multipoly,
-    registry,
     registry_entry,
     with_ground_truth,
 )
@@ -376,6 +375,10 @@ class TestFdJacobianCheck:
         assert fd_jacobian_check(p, rng.standard_normal(6)) <= 1e-10
 
 
+# the transcribed registry entries, which REGISTRY_NAMES lists first
+TRANSCRIBED = REGISTRY_NAMES[:6]
+
+
 class TestRegistry:
     def test_names_cover_both_tables(self):
         assert len(REGISTRY_NAMES) == 14
@@ -383,9 +386,7 @@ class TestRegistry:
 
     def test_transcribed_entries_validate_and_match_fd(self):
         rng = np.random.default_rng(17)
-        problems = registry()
-        assert len(problems) == 6
-        for p in problems:
+        for p in map(registry_entry, TRANSCRIBED):
             assert validate_problem(p) == []
             assert fd_jacobian_check(p, p.start) <= 1e-6
             lo, hi = p.bounds
@@ -393,20 +394,18 @@ class TestRegistry:
             assert fd_jacobian_check(p, interior) <= 1e-6
 
     def test_starts_are_lower_bounds(self):
-        for p in registry():
+        for p in map(registry_entry, TRANSCRIBED):
             np.testing.assert_array_equal(p.start, p.bounds[0])
 
     def test_dimensions_within_paper_range(self):
-        assert max(p.dim for p in registry()) == 8
+        assert max(registry_entry(name).dim for name in TRANSCRIBED) == 8
 
     def test_entries_carry_their_registry_name(self):
-        problems = registry()
-        assert [p.name for p in problems] == list(REGISTRY_NAMES[: len(problems)])
-        for p in problems:
-            assert registry_entry(p.name).name == p.name
+        for name in TRANSCRIBED:
+            assert registry_entry(name).name == name
 
     def test_untranscribed_entries_raise(self):
-        for name in ("Decker1", "Dayton10", "Hueso6"):
+        for name in REGISTRY_NAMES[len(TRANSCRIBED):]:
             with pytest.raises(ProblemUnavailable):
                 registry_entry(name)
 
@@ -461,7 +460,7 @@ class TestRegistryFormulas:
     formulas on np.float64 scalars, the arithmetic they ran before, and at
     1e200 neither may raise (Python's float ``**`` would)."""
 
-    @pytest.mark.parametrize("name", [p.name for p in registry()])
+    @pytest.mark.parametrize("name", TRANSCRIBED)
     def test_python_floats_match_numpy_scalars(self, name):
         p = registry_entry(name)
         for x in _registry_points(p, np.random.default_rng(41)):
@@ -473,7 +472,7 @@ class TestRegistryFormulas:
             assert f.tobytes() == f_ref.tobytes(), x
             assert jm.tobytes() == jm_ref.tobytes(), x
 
-    @pytest.mark.parametrize("name", [p.name for p in registry()])
+    @pytest.mark.parametrize("name", TRANSCRIBED)
     def test_no_square_by_multiplication(self, name):
         # x * x is not pow's square to the ulp, and the reference above runs
         # the same formula, so it cannot see one; a _Factor entry can
@@ -483,7 +482,7 @@ class TestRegistryFormulas:
                 p.residual(_numpy_scalars(x, _Factor))
                 p.jacobian(_numpy_scalars(x, _Factor))
 
-    @pytest.mark.parametrize("name", [p.name for p in registry()])
+    @pytest.mark.parametrize("name", TRANSCRIBED)
     def test_overflowing_start_ends_nonfinite(self, name):
         p = registry_entry(name)
         with np.errstate(all="ignore"):
@@ -552,7 +551,7 @@ REGISTRY_PINS = {
 
 
 def test_registry_pins_cover_every_transcribed_problem():
-    assert list(REGISTRY_PINS) == [p.name for p in registry()]
+    assert tuple(REGISTRY_PINS) == TRANSCRIBED
 
 
 @pytest.mark.parametrize("name", list(REGISTRY_PINS))
@@ -597,7 +596,8 @@ def test_dim_is_derived_from_start():
     assert [f.name for f in fields(NonlinearProblem)] == [
         "name", "residual", "jacobian", "start", "known_root", "null_basis", "bounds",
     ]
-    problems = registry() + [h_equation(HEquationSpec(n=7)), multipoly(MultipolySpec(n=9))]
+    problems = [registry_entry(name) for name in TRANSCRIBED]
+    problems += [h_equation(HEquationSpec(n=7)), multipoly(MultipolySpec(n=9))]
     for p in problems:
         assert p.dim == len(p.start)
         with pytest.raises(TypeError):

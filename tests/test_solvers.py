@@ -31,8 +31,8 @@ from nasolve.problems import (
     MultipolySpec,
     h_equation,
     multipoly,
-    registry,
     registry_entry,
+    with_ground_truth,
 )
 from nasolve.solvers import (
     LINESEARCH_METHODS,
@@ -46,6 +46,7 @@ from nasolve.solvers import (
 )
 
 from test_linalg import _bits, band_jacobian  # tests/ is on sys.path under pytest's default import mode
+from test_problems import TRANSCRIBED
 
 # the four depth-1 Newton-Anderson methods
 NA_METHODS = tuple(m for m in MethodId if m not in (MethodId.newton, MethodId.proj_lm))
@@ -528,7 +529,7 @@ class TestProjectedLm:
         assert len(rungs) == 1
         assert rungs[0][1].hex() == float(f0 @ f0).hex()
 
-    @pytest.mark.parametrize("case", [0.5, 1.0] + [p.name for p in registry()])
+    @pytest.mark.parametrize("case", [0.5, 1.0, *TRANSCRIBED])
     def test_scipy_normal_equations_match_numpy_reference(self, case, monkeypatch):
         # reference run: the damped normal equations by numpy, J formed from
         # the class's own arrays, J^T f and J^T J by @, the rung taken where
@@ -602,13 +603,14 @@ class TestProjectedLm:
 @pytest.mark.parametrize("method", list(MethodId))
 def test_history_holds_the_iterates(method):
     # no step writes into an iterate, so the history keeps the iterates
-    # themselves: x last, a copy of the start first, each a distinct array
+    # themselves: x last, each a distinct array, and first the problem's own
+    # start, or proj_lm's projection of it
     p = multipoly(MultipolySpec(n=50, k=3))
     start = p.start.copy()
     out = solve(p, method, SolverConfig(), keep_history=True)
     history = out.iterate_history
     assert history[-1] is out.x
-    assert history[0] is not p.start
+    assert (history[0] is p.start) == (method is not MethodId.proj_lm)
     assert len({id(v) for v in history}) == len(history) == out.iterations + 1
     np.testing.assert_array_equal(p.start, start)
     np.testing.assert_array_equal(history[0], start)
@@ -616,6 +618,49 @@ def test_history_holds_the_iterates(method):
 
 def _boxed(p, lo, hi):
     return replace(p, bounds=(np.full(p.dim, lo), np.full(p.dim, hi)))
+
+
+@pytest.mark.parametrize("method", list(MethodId), ids=str)
+def test_solves_leave_the_problem_arrays_bit_identical(method):
+    # every solve starts from the problem's own arrays, which no step writes
+    problems = [
+        multipoly(MultipolySpec(n=50, k=3)),
+        with_ground_truth(h_equation(HEquationSpec(n=30, omega=1.0))),
+        *map(registry_entry, TRANSCRIBED),
+        _boxed(multipoly(MultipolySpec(n=20, k=3)), 0.25, 1.0),
+    ]
+    for p in problems:
+        arrays = [a for a in (p.start, p.known_root, p.null_basis, *(p.bounds or ()))
+                  if a is not None]
+        before = [a.tobytes() for a in arrays]
+        solve(p, method, SolverConfig())
+        assert [a.tobytes() for a in arrays] == before, p.name
+
+
+@pytest.mark.parametrize("method", NA_METHODS + (MethodId.newton,), ids=str)
+def test_zero_step_outcome_is_the_read_only_start(method):
+    p = NonlinearProblem(name="at_root", residual=lambda x: x.copy(),
+                         jacobian=lambda x: DenseJacobian(np.eye(2)), start=np.zeros(2))
+    out = solve(p, method, SolverConfig(), keep_history=True)
+    assert out.iterations == 0 and out.x is p.start and out.iterate_history == [p.start]
+    with pytest.raises(ValueError, match="read-only"):
+        out.x[0] = 1.0
+
+
+def test_kept_history_holds_the_start_once():
+    # the history's x_0 is p.start, which the problem holds, so after a
+    # multipoly gamma-NA solve at n = 10^5 (7 steps) the history keeps 7 new
+    # n-vectors alive, where a copied start made it 8
+    n = 10**5
+    p = multipoly(MultipolySpec(n=n, k=3))
+    tracemalloc.start()
+    try:
+        out = solve(p, MethodId.gamma_n_anderson, SolverConfig(), keep_history=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.iterations == 7 and out.iterate_history[0] is p.start
+    assert out.iterations * n * 8 <= held < (out.iterations + 0.5) * n * 8
 
 
 def _rank_one(jac):
@@ -818,7 +863,7 @@ def test_registry_cell_pinned(name, method):
 # methods safeguard, the armijo_ methods and proj_lm line-search
 @pytest.mark.parametrize("method", list(MethodId), ids=str)
 def test_method_table(method):
-    problems = registry() + [
+    problems = [registry_entry(name) for name in TRANSCRIBED] + [
         h_equation(HEquationSpec(n=200, omega=1.0)),
         multipoly(MultipolySpec(n=200, k=3)),
     ]
@@ -862,7 +907,7 @@ def test_registry_solves_call_neither_numpy_norm_nor_delete(monkeypatch):
     monkeypatch.setattr(np, "delete", counting("delete", np.delete))
     assert np.linalg.norm(np.ones(4)) == 2.0 and calls["norm"] == 1  # the patch takes
     calls.clear()
-    for p in registry():
+    for p in map(registry_entry, TRANSCRIBED):
         for method in MethodId:
             solve(p, method)
     assert calls == Counter()
