@@ -10,23 +10,22 @@ solvers reach ``to_dense`` only through ``damped_normal_solve``.  ``solve``
 returns a fresh array that the caller owns, which the Newton step negates
 in place, and leaves b untouched.
 
-Every BLAS and LAPACK call of nasolve is made here but one: the dense SVD
-of ``problems.with_ground_truth``, ``np.linalg.svd`` in numpy's pool, which
-waits on ground truth without an n x n matrix (ROADMAP item 5).  Four
-rules hold here.  One pool: n-scale BLAS-3 and LAPACK calls go through
-``blas`` and ``lapack`` below, never numpy's ``@``; numpy bundles its own
-OpenBLAS with its own thread pool, and on a 2-core machine a scipy call
-that follows a numpy BLAS-3 call ran up to twice as slow (the Woodbury
-capacitance, and the LM Cholesky factor after a numpy J^T J).  Fortran
-order, which f2py passes without a copy: ``to_dense`` returns a fresh J in
-it that the caller owns (``DenseJacobian`` a copy of the array it holds).
-A symmetric matrix holds its upper triangle, which ``dsyrk`` fills and
-``dposv`` reads.  An ``info`` < 0, a rejected argument, raises ValueError;
-info > 0 (a zero pivot, a minor not positive definite) is answered on the
-spot.  The banded solve is BLAS ``dtbsv``, which reports nothing: its class
-tests every pivot in one blocked pass before it, the exactly zero pivot
-that LAPACK's ``dtbtrs`` reports by info > 0 included, and so skips the
-second pass over the diagonal that ``dtbtrs`` made.
+Every BLAS and LAPACK call of nasolve is made here, the ground truth's
+null direction (``null_direction``) included.  Four rules hold here.  One
+pool: n-scale BLAS-3 and LAPACK calls go through ``blas`` and ``lapack``
+below, never numpy's ``@``; numpy bundles its own OpenBLAS with its own
+thread pool, and on a 2-core machine a scipy call that follows a numpy
+BLAS-3 call ran up to twice as slow (the Woodbury capacitance, and the LM
+Cholesky factor after a numpy J^T J).  Fortran order, which f2py passes
+without a copy: ``to_dense`` returns a fresh J in it that the caller owns
+(``DenseJacobian`` a copy of the array it holds).  A symmetric matrix holds
+its upper triangle, which ``dsyrk`` fills and ``dposv`` and ``dsyevr`` read.
+Every LAPACK ``info`` is read: < 0, a rejected argument, raises ValueError;
+info > 0 (``dgetrf``'s exactly zero pivot, a minor not positive definite)
+is answered on the spot.  The banded solve is BLAS ``dtbsv``, which reports
+nothing: its class tests every pivot in one blocked pass before it, the
+exactly zero pivot that LAPACK's ``dtbtrs`` reports by info > 0 included,
+and so skips the second pass over the diagonal that ``dtbtrs`` made.
 
 ``blas`` and ``lapack`` are scipy's f2py wrappers ``scipy.linalg._fblas`` and
 ``_flapack``, loaded without the ``scipy.linalg`` package ``__init__``, which
@@ -131,18 +130,21 @@ class DenseJacobian(JacobianMatrix):
 
         Raises SingularMatrix when a pivot magnitude falls to or below
         eps * max|A|, which is how the solvers detect that an iterate has left
-        the region where the Jacobian is invertible.  It also catches the
-        exactly zero pivot ``dgetrf`` reports (info > 0) unless a NaN hides it.
+        the region where the Jacobian is invertible, and when ``dgetrf``
+        reports an exactly zero pivot (info > 0) that a NaN entry kept from
+        that test.  A NaN with no zero pivot propagates into x.
         """
         b = np.asarray(b, dtype=float)
         if self.n == 0:  # dgetrf would reject lda = 0, its only info < 0 here
             return np.empty_like(b)
-        lu, piv, _ = lapack.dgetrf(self.a)
+        lu, piv, info = lapack.dgetrf(self.a)
         pivot = np.abs(lu.diagonal()).min()
         # eps * max|A| with no |A| temporary; a NaN entry gives NaN, so no raise
         threshold = EPS * float(max(self.a.max(), -self.a.min()))
         if pivot <= threshold:
             raise SingularMatrix(f"pivot {pivot:.3e} below threshold {threshold:.3e}")
+        if info > 0:  # an exactly zero pivot, which a NaN kept from the test above
+            raise SingularMatrix(f"pivot at row {info - 1} is exactly zero")
         x, info = lapack.dgetrs(lu, piv, b)
         if info < 0:
             raise ValueError(f"dgetrs rejected argument {-info}")
@@ -345,6 +347,24 @@ def damped_normal_solve(jac: JacobianMatrix, f: np.ndarray, mus) -> tuple[np.nda
             return jtf, d
         a = None
     return jtf, None
+
+
+def null_direction(jac: JacobianMatrix) -> np.ndarray:
+    """The unit right singular vector of J for its least singular value, as
+    an n x 1 array: the eigenvector of J^T J for its least eigenvalue.
+
+    J^T J is formed over J = ``jac.to_dense()`` by ``_gram_in_place``, the
+    one n x n array, and one ``dsyevr`` overwrites it and returns that
+    eigenvector alone.  The sign is LAPACK's.
+    """
+    a = jac.to_dense()
+    _gram_in_place(a)
+    _, z, _, _, info = lapack.dsyevr(a, range="I", il=1, iu=1, lower=0, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dsyevr rejected argument {-info}")
+    if info > 0:
+        raise RuntimeError(f"dsyevr failed with info {info}")
+    return z
 
 
 def lstsq_gamma(w_next, w_prev, d=None, w_next_norm=None, w_prev_norm=None) -> float | None:

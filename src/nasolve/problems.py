@@ -23,6 +23,7 @@ from .linalg import (
     DenseJacobian,
     IdentityMinusLowRankJacobian,
     UpperBidiagonalJacobian,
+    null_direction,
 )
 from .solvers import MethodId, solve
 
@@ -239,19 +240,16 @@ def with_ground_truth(p: NonlinearProblem) -> NonlinearProblem:
 
     The root is a safeguarded Newton-Anderson solve to ||f|| < GROUND_TRUTH_TOL;
     the null direction is the right singular vector of the Jacobian there
-    with smallest singular value.  For problems that are only
-    nearly singular at finite resolution the annihilation check in
-    validate_problem reflects that honestly.
+    with smallest singular value, ``linalg.null_direction``: one LAPACK
+    ``dsyevr`` over J^T J, formed in place of J, the one n x n array.  For
+    problems that are only nearly singular at finite resolution the
+    annihilation check in validate_problem reflects that honestly.
     """
     cfg = SolverConfig(tol=GROUND_TRUTH_TOL, max_iters=400)
     out = solve(p, MethodId.gamma_n_anderson, cfg)
     if not out.converged:
         raise RuntimeError(f"ground-truth solve failed on {p.name}: ||f|| = {out.final_res:.3e}")
-    root = out.x
-    dense = p.jacobian(root).to_dense()
-    _, _, vt = np.linalg.svd(dense)
-    basis = vt[-1][:, None]
-    return replace(p, known_root=root, null_basis=basis)
+    return replace(p, known_root=out.x, null_basis=null_direction(p.jacobian(out.x)))
 
 
 def fd_jacobian_check(p: NonlinearProblem, x: np.ndarray) -> float:

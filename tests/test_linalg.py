@@ -29,8 +29,16 @@ from nasolve.linalg import (
     lapack,
     lstsq_gamma,
     norm2,
+    null_direction,
 )
-from nasolve.problems import HEquationSpec, MultipolySpec, _int_power, h_equation, multipoly
+from nasolve.problems import (
+    HEquationSpec,
+    MultipolySpec,
+    _int_power,
+    h_equation,
+    multipoly,
+    with_ground_truth,
+)
 from nasolve.solvers import MethodId, solve
 
 
@@ -167,6 +175,13 @@ class TestDenseSolveAgainstScipyWrappers:
         np.testing.assert_array_equal(x, _reference_dense_solve(a, np.ones(4)))
         assert np.isnan(x).any()
 
+    def test_zero_pivot_behind_nan_raises(self):
+        # a NaN entry makes the pivot threshold NaN, which passes the exactly
+        # zero pivot at row 1; dgetrf's info > 0 is what catches it
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, np.nan]])
+        with pytest.raises(SingularMatrix, match="pivot at row 1 is exactly zero"):
+            DenseJacobian(a).solve(np.ones(3))
+
     def test_pivot_threshold_memory_budget(self):
         # dgetrf's LU copy and nothing n x n besides: the threshold forms no |A|
         n = 1000
@@ -177,6 +192,47 @@ class TestDenseSolveAgainstScipyWrappers:
         x = DenseJacobian(np.empty((0, 0))).solve(np.empty(0))
         assert x.shape == (0,) and x.dtype == float
         np.testing.assert_array_equal(x, _reference_dense_solve(np.empty((0, 0)), np.empty(0)))
+
+
+class TestNullDirection:
+    """null_direction against numpy's SVD, whose last right singular vector
+    it must give up to sign; where sigma_min stands above rounding, ||J v||
+    must be sigma_min."""
+
+    @staticmethod
+    def _against_svd(jac):
+        v = null_direction(jac)
+        assert v.shape == (jac.n, 1)
+        _, sv, vt = np.linalg.svd(jac.to_dense())
+        v = v[:, 0] * np.sign(v[:, 0] @ vt[-1])
+        np.testing.assert_allclose(v, vt[-1], rtol=0.0, atol=1e-12)
+        return v, sv
+
+    @pytest.mark.parametrize("n", [2, 8, 57, 300])
+    def test_dense_of_rank_n_minus_1(self, n):
+        rng = np.random.default_rng(700 + n)
+        u, w = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        s = np.linspace(2.0, 1.0, n)
+        s[-1] = 0.0
+        jac = DenseJacobian((u * s) @ w.T)
+        v, sv = self._against_svd(jac)
+        # sigma_min is the SVD's rounding here, so ||J v|| is held to that of ||J||
+        assert np.linalg.norm(jac.matvec(v)) <= 1e-13 * sv[0]
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_multipoly_at_its_root_gives_the_last_unit_vector(self, k):
+        n = 300
+        jac = multipoly(MultipolySpec(n=n, k=k)).jacobian(np.zeros(n))
+        v, _ = self._against_svd(jac)
+        np.testing.assert_array_equal(v, np.eye(n)[-1])
+        assert not jac.matvec(v).any()
+
+    @pytest.mark.parametrize("n", [120, 500])
+    def test_heq_at_its_ground_truth_root(self, n):
+        p = with_ground_truth(h_equation(HEquationSpec(n=n, omega=1.0)))
+        jac = p.jacobian(p.known_root)
+        v, sv = self._against_svd(jac)
+        assert np.linalg.norm(jac.matvec(v)) == pytest.approx(sv[-1], rel=1e-6)
 
 
 class TestStructuredSolve:
@@ -950,7 +1006,7 @@ def test_solving_never_imports_the_scipy_linalg_package():
 
 
 BLAS_ROUTINES = ("dgemm", "dgemv", "dsyrk", "dtbsv")
-LAPACK_ROUTINES = ("dgetrf", "dgetrs", "dtbtrs", "dposv")
+LAPACK_ROUTINES = ("dgetrf", "dgetrs", "dtbtrs", "dposv", "dsyevr")
 
 
 @pytest.mark.parametrize("first", ["scipy.linalg", "nasolve"])

@@ -128,6 +128,16 @@ class TestHEquation:
         sv = np.linalg.svd(jac.to_dense(), compute_uv=False)
         assert jb == pytest.approx(sv[-1], rel=1e-6)
 
+    def test_ground_truth_basis_holds_no_n_by_n_array(self):
+        # the basis owns its column: no n x n factor stays alive behind it
+        n = 120
+        b = with_ground_truth(h_equation(HEquationSpec(n=n, omega=1.0))).null_basis
+        shapes = []
+        while isinstance(b, np.ndarray):
+            shapes.append(b.shape)
+            b = b.base
+        assert shapes and (n, n) not in shapes
+
     def test_validation_reports_residual_null_direction(self):
         # the discretized problem is only near-singular at omega = 1, so the
         # attached numerical basis legitimately fails the strict annihilation

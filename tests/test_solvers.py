@@ -1,4 +1,7 @@
+import ast
+import importlib
 import inspect
+import pkgutil
 import re
 import tracemalloc
 from collections import Counter
@@ -10,6 +13,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nasolve
 from nasolve import solvers
 from nasolve.core import STATUSES, STEP_KINDS, NonlinearProblem, SolverConfig
 from nasolve.diagnostics import theta_gain
@@ -727,12 +731,29 @@ def test_proj_lm_class_matches_dense_reference(case, monkeypatch):
     assert (class_infos[0] > 0 and class_infos[1] == 0) == rung_retry
 
 
+def _source_outside_docstrings(module) -> str:
+    """The module's source with the lines of every docstring blanked."""
+    source = inspect.getsource(module)
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            lines[doc.lineno - 1:doc.end_lineno] = [""] * (doc.end_lineno - doc.lineno + 1)
+    return "\n".join(lines)
+
+
 def test_solvers_hold_no_blas_or_lapack():
-    # every BLAS and LAPACK call is made in linalg; the LM step reaches them
-    # only through damped_normal_solve
-    assert [name for name, v in vars(solvers).items() if v is blas or v is lapack] == []
-    routines = r"\b(?:blas|lapack|d(?:gemm|gemv|syrk|posv|getr[fs]|tbtrs))\b"
-    assert re.findall(routines, inspect.getsource(solvers)) == []
+    # every BLAS and LAPACK call of nasolve is made in linalg: no other module
+    # holds its handles, names a routine or calls np.linalg outside a
+    # docstring; the LM step reaches them only through damped_normal_solve
+    routines = r"\b(?:blas|lapack|d(?:gemm|gemv|syrk|posv|getr[fs]|tbtrs|tbsv|syevr))\b|np\.linalg\."
+    names = sorted(m.name for m in pkgutil.iter_modules(nasolve.__path__) if m.name != "linalg")
+    assert "solvers" in names and "problems" in names
+    for module in [nasolve] + [importlib.import_module(f"nasolve.{name}") for name in names]:
+        held = [name for name, v in vars(module).items() if v is blas or v is lapack]
+        assert held == [], module.__name__
+        assert re.findall(routines, _source_outside_docstrings(module)) == [], module.__name__
 
 
 class TestCholeskyAgainstScipyWrappers:
