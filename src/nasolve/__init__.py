@@ -17,7 +17,7 @@ from .diagnostics import (
     diagnose_run,
     estimate_rate,
     estimate_root_order,
-    theta_gain,
+    with_ground_truth,
 )
 from .linalg import (
     DenseJacobian,
@@ -26,6 +26,7 @@ from .linalg import (
     SingularMatrix,
     UpperBidiagonalJacobian,
     lstsq_gamma,
+    theta_gain,
 )
 from .problems import (
     HEquationSpec,
@@ -36,7 +37,6 @@ from .problems import (
     h_equation,
     multipoly,
     registry_entry,
-    with_ground_truth,
 )
 from .solvers import MethodId, SafeguardDecision, anderson_combine, gamma_safeguard, solve
 from .harness import (

@@ -1,6 +1,7 @@
 """Runtime diagnostics for problems with a known root and null-space basis.
 
-A solve of such a problem records ``iterate_error`` per iterate: the null
+``with_ground_truth`` attaches both to a problem that lacks them.  A solve
+of such a problem records ``core.iterate_error`` per iterate: the null
 coordinates and range norm of its error, the null coordinates of the Newton
 update that led to it, and the step's gamma; ``diagnose_run`` reads that
 record.  The curvature term of the pair-type classification is replaced by
@@ -10,14 +11,16 @@ to second order in the error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .core import IterateError, NonlinearProblem, SolveOutcome
-from .linalg import BAND_BLOCK, lstsq_gamma, norm2
+from .core import NonlinearProblem, SolveOutcome, SolverConfig
+from .linalg import norm2, null_direction
+from .solvers import MethodId, solve
 
+GROUND_TRUTH_TOL = 1e-13  # residual tolerance of the solve with_ground_truth takes as the root
 COMPAT_C = 2.0  # step k is compatible if ||P_N e_{k+1}|| <= COMPAT_C * theta_{k+1} * ||w_{k+1}||
 RHO_DOM = 3.0  # a term dominates another when it is larger by this factor
 NOISE_FLOOR = 1e-13  # relative to 1 + ||x*||; smaller null components stay out of the rate fit
@@ -27,8 +30,21 @@ class MissingGroundTruth(Exception):
     """Known root and/or null basis required but absent from the problem."""
 
 
-class ZeroStep(Exception):
-    """The Newton update vanished; the gain is undefined (already converged)."""
+def with_ground_truth(p: NonlinearProblem) -> NonlinearProblem:
+    """Attach a numerically computed root and null direction to a problem.
+
+    The root is a safeguarded Newton-Anderson solve to ||f|| < GROUND_TRUTH_TOL;
+    the null direction is the right singular vector of the Jacobian there
+    with smallest singular value, ``linalg.null_direction``: one LAPACK
+    ``dsyevr`` over J^T J, formed in place of J, the one n x n array.  For
+    problems that are only nearly singular at finite resolution the
+    annihilation check in validate_problem reflects that honestly.
+    """
+    cfg = SolverConfig(tol=GROUND_TRUTH_TOL, max_iters=400)
+    out = solve(p, MethodId.gamma_n_anderson, cfg)
+    if not out.converged:
+        raise RuntimeError(f"ground-truth solve failed on {p.name}: ||f|| = {out.final_res:.3e}")
+    return replace(p, known_root=out.x, null_basis=null_direction(p.jacobian(out.x)))
 
 
 class PairKind(str, Enum):
@@ -43,25 +59,6 @@ class PairKind(str, Enum):
 class PairLabel:
     kind: PairKind
     strong: bool
-
-
-def theta_gain(w_next: np.ndarray, w_prev: np.ndarray, gamma_used: float,
-               d: np.ndarray | None = None, w_next_norm: float | None = None) -> float:
-    """Optimization gain ||w_next - gamma*(w_next - w_prev)|| / ||w_next||.
-
-    A caller that holds d = w_next - w_prev and ||w_next|| passes them, and
-    the numerator is formed in d's buffer, which it overwrites; else both
-    are computed here, to the same bits.
-    """
-    if w_next_norm is None:
-        w_next = np.asarray(w_next, dtype=float)
-        w_next_norm = norm2(w_next)
-    if w_next_norm == 0.0:
-        raise ZeroStep("||w_next|| = 0")
-    if d is None:
-        d = w_next - np.asarray(w_prev)
-    d *= gamma_used
-    return norm2(np.subtract(w_next, d, out=d)) / w_next_norm
 
 
 _PAIR_KINDS = {("N", "N"): PairKind.N_pair, ("R", "R"): PairKind.R_pair,
@@ -174,25 +171,3 @@ def diagnose_run(p: NonlinearProblem, outcome: SolveOutcome) -> DiagnosticsRepor
     rate = estimate_rate(tail[-12:])
     order = None if rate is None else estimate_root_order(rate)
     return DiagnosticsReport(steps=steps, rate=rate, root_order=order)
-
-
-def iterate_error(p: NonlinearProblem, x: np.ndarray, w: np.ndarray | None = None,
-                  w_prev: np.ndarray | None = None, gamma_raw: float = 0.0) -> IterateError:
-    """The IterateError of iterate x of a solve of p, reached by the step that
-    solved for the Newton update w after w_prev (None where there is none).
-    gamma is None without both updates; else it is the step's gamma_raw if
-    nonzero, as it is where the step took one, and lstsq_gamma(w, w_prev) if 0."""
-    basis = p.null_basis
-    e = x - p.known_root
-    c = basis.T @ e
-    # e -= P_N e = B c, over blocks of BAND_BLOCK rows, so that e is the one
-    # n-vector formed.  Each row of B c has the bits the whole product gives
-    # it, because NonlinearProblem holds the basis in C order; over a
-    # Fortran-ordered one of several columns they may differ in the last bit.
-    # np.dot: for a one-column basis ``basis @ c`` takes about six times as
-    # long at n = 10^5, same bits
-    for lo in range(0, len(e), BAND_BLOCK):
-        e[lo:lo + BAND_BLOCK] -= np.dot(basis[lo:lo + BAND_BLOCK], c)
-    gamma = None if w is None or w_prev is None else (gamma_raw or lstsq_gamma(w, w_prev))
-    d = None if w is None else basis.T @ w
-    return IterateError(c, norm2(e), d, gamma)

@@ -10,22 +10,28 @@ solvers reach ``to_dense`` only through ``damped_normal_solve``.  ``solve``
 returns a fresh array that the caller owns, which the Newton step negates
 in place, and leaves b untouched.
 
-Every BLAS and LAPACK call of nasolve is made here, the ground truth's
-null direction (``null_direction``) included.  Four rules hold here.  One
-pool: n-scale BLAS-3 and LAPACK calls go through ``blas`` and ``lapack``
-below, never numpy's ``@``; numpy bundles its own OpenBLAS with its own
-thread pool, and on a 2-core machine a scipy call that follows a numpy
-BLAS-3 call ran up to twice as slow (the Woodbury capacitance, and the LM
-Cholesky factor after a numpy J^T J).  Fortran order, which f2py passes
-without a copy: ``to_dense`` returns a fresh J in it that the caller owns
-(``DenseJacobian`` a copy of the array it holds).  A symmetric matrix holds
-its upper triangle, which ``dsyrk`` fills and ``dposv`` and ``dsyevr`` read.
-Every LAPACK ``info`` is read: < 0, a rejected argument, raises ValueError;
-info > 0 (``dgetrf``'s exactly zero pivot, a minor not positive definite)
-is answered on the spot.  The banded solve is BLAS ``dtbsv``, which reports
-nothing: its class tests every pivot in one blocked pass before it, the
-exactly zero pivot that LAPACK's ``dtbtrs`` reports by info > 0 included,
-and so skips the second pass over the diagonal that ``dtbtrs`` made.
+Every BLAS-3 and LAPACK call of nasolve is made here, the ground truth's
+null direction (``null_direction``) included.  numpy's ``@`` and ``.dot``
+still make n-length BLAS-1/2 calls (``ddot``, ``dgemv``) on numpy's own
+OpenBLAS: ``norm2`` and the gamma and theta sums here, the classes'
+``matvec``, heq's kernel sum in ``problems``, B^T e in
+``core.iterate_error``, and the merits and slopes in ``solvers``; a
+threaded ``ddot`` sums in an order that depends on the thread count.  Four
+rules hold here.  One pool: n-scale BLAS-3 and LAPACK calls go through
+``blas`` and ``lapack`` below, never numpy's ``@``; numpy bundles its own
+OpenBLAS with its own thread pool, and on a 2-core machine a scipy call
+that follows a numpy BLAS-3 call ran up to twice as slow (the Woodbury
+capacitance, and the LM Cholesky factor after a numpy J^T J).  Fortran
+order, which f2py passes without a copy: ``to_dense`` returns a fresh J in
+it that the caller owns (``DenseJacobian`` a copy of the array it holds).
+A symmetric matrix holds its upper triangle, which ``dsyrk`` fills and
+``dposv`` and ``dsyevr`` read.  Every LAPACK ``info`` is read: < 0, a
+rejected argument, raises ValueError; info > 0 (``dgetrf``'s exactly zero
+pivot, a minor not positive definite) is answered on the spot.  The banded
+solve is BLAS ``dtbsv``, which reports nothing: its class tests every pivot
+in one blocked pass before it, the exactly zero pivot that LAPACK's
+``dtbtrs`` reports by info > 0 included, and so skips the second pass over
+the diagonal that ``dtbtrs`` made.
 
 ``blas`` and ``lapack`` are scipy's f2py wrappers ``scipy.linalg._fblas`` and
 ``_flapack``, loaded without the ``scipy.linalg`` package ``__init__``, which
@@ -80,6 +86,10 @@ GRAM_BLOCK = 256
 
 class SingularMatrix(Exception):
     """A pivot collapsed below machine precision; the matrix is numerically singular."""
+
+
+class ZeroStep(Exception):
+    """The Newton update vanished; the gain is undefined (already converged)."""
 
 
 def norm2(v: np.ndarray) -> float:
@@ -367,14 +377,18 @@ def null_direction(jac: JacobianMatrix) -> np.ndarray:
     return z
 
 
+# gamma and theta read one least-squares problem, min_g ||w_next - g d|| with
+# d = w_next - w_prev: gamma is its argmin, theta its relative residual.  A
+# caller that holds d and the norms passes them, and neither function forms
+# an n-vector but theta's numerator, in d's buffer, which it overwrites;
+# else d and the norms are computed here, to the same bits.
 def lstsq_gamma(w_next, w_prev, d=None, w_next_norm=None, w_prev_norm=None) -> float | None:
     """Extrapolation coefficient minimizing || w_next - g*(w_next - w_prev) || over g.
 
     Closed form: g = d^T w_next / ||d||^2 with d = w_next - w_prev.
     Returns None when the two steps coincide to machine precision, so that g
-    is undefined; the caller then takes a plain Newton step.  A caller that
-    holds d and the norms ||w_next||, ||w_prev|| passes all three, and
-    nothing n-long is formed here; else they are computed, to the same bits.
+    is undefined; the caller then takes a plain Newton step.  A caller
+    passes d with both norms ||w_next||, ||w_prev|| or none of them.
     """
     if d is None:
         w_next = np.asarray(w_next, dtype=float)
@@ -385,3 +399,17 @@ def lstsq_gamma(w_next, w_prev, d=None, w_next_norm=None, w_prev_norm=None) -> f
     if dn <= EPS * (w_next_norm + w_prev_norm):
         return None
     return float(d @ w_next) / (dn * dn)
+
+
+def theta_gain(w_next: np.ndarray, w_prev: np.ndarray, gamma_used: float,
+               d: np.ndarray | None = None, w_next_norm: float | None = None) -> float:
+    """Optimization gain ||w_next - gamma*(w_next - w_prev)|| / ||w_next||."""
+    if w_next_norm is None:
+        w_next = np.asarray(w_next, dtype=float)
+        w_next_norm = norm2(w_next)
+    if w_next_norm == 0.0:
+        raise ZeroStep("||w_next|| = 0")
+    if d is None:
+        d = w_next - np.asarray(w_prev)
+    d *= gamma_used
+    return norm2(np.subtract(w_next, d, out=d)) / w_next_norm

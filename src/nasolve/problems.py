@@ -1,4 +1,6 @@
-"""Benchmark problem constructors and the small-scale problem registry.
+"""Benchmark problem constructors and the small-scale problem registry, made
+from ``core`` and ``linalg`` alone; ``diagnostics.with_ground_truth``
+attaches the root and null direction that a problem lacks.
 
 The two scaleable problems are the Chandrasekhar H-equation discretized by
 the composite midpoint rule (singular Jacobian at the bifurcation parameter
@@ -12,22 +14,18 @@ a fabricated system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NonlinearProblem, SolverConfig, check_count
+from .core import NonlinearProblem, check_count
 from .linalg import (
     BAND_BLOCK,
     EPS,
     DenseJacobian,
     IdentityMinusLowRankJacobian,
     UpperBidiagonalJacobian,
-    null_direction,
 )
-from .solvers import MethodId, solve
-
-GROUND_TRUTH_TOL = 1e-13  # residual tolerance of the solve with_ground_truth takes as the root
 
 
 class ProblemUnavailable(Exception):
@@ -114,7 +112,7 @@ def h_equation(spec: HEquationSpec) -> NonlinearProblem:
     w = (omega/2n) mu (1 - s)^(-2) is an ``IdentityMinusLowRankJacobian``,
     solved through an r x r matrix.  The recommended start is the vector of
     ones.  For omega = 1 the Jacobian at the solution has a one-dimensional
-    (numerical) null space; use ``with_ground_truth`` to attach it.
+    (numerical) null space; ``diagnostics.with_ground_truth`` attaches it.
     """
     n, omega = spec.n, spec.omega
     cmu = omega / (2.0 * n) * _nodes(n)
@@ -233,23 +231,6 @@ def multipoly(spec: MultipolySpec) -> NonlinearProblem:
         known_root=np.zeros(n),
         null_basis=basis,
     )
-
-
-def with_ground_truth(p: NonlinearProblem) -> NonlinearProblem:
-    """Attach a numerically computed root and null direction to a problem.
-
-    The root is a safeguarded Newton-Anderson solve to ||f|| < GROUND_TRUTH_TOL;
-    the null direction is the right singular vector of the Jacobian there
-    with smallest singular value, ``linalg.null_direction``: one LAPACK
-    ``dsyevr`` over J^T J, formed in place of J, the one n x n array.  For
-    problems that are only nearly singular at finite resolution the
-    annihilation check in validate_problem reflects that honestly.
-    """
-    cfg = SolverConfig(tol=GROUND_TRUTH_TOL, max_iters=400)
-    out = solve(p, MethodId.gamma_n_anderson, cfg)
-    if not out.converged:
-        raise RuntimeError(f"ground-truth solve failed on {p.name}: ||f|| = {out.final_res:.3e}")
-    return replace(p, known_root=out.x, null_basis=null_direction(p.jacobian(out.x)))
 
 
 def fd_jacobian_check(p: NonlinearProblem, x: np.ndarray) -> float:

@@ -22,9 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig
-from .diagnostics import iterate_error, theta_gain
-from .linalg import SingularMatrix, damped_normal_solve, lstsq_gamma, norm2
+from .core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig, iterate_error
+from .linalg import SingularMatrix, damped_normal_solve, lstsq_gamma, norm2, theta_gain
 
 
 class MethodId(str, Enum):

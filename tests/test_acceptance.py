@@ -14,6 +14,8 @@ the convention shift.
 """
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,7 +46,8 @@ from nasolve.solvers import (
     solve,
 )
 
-from test_problems import TRANSCRIBED  # tests/ is on sys.path under pytest's default import mode
+from test_linalg import _fresh_env  # tests/ is on sys.path under pytest's default import mode
+from test_problems import TRANSCRIBED
 
 CFG = SolverConfig()
 # the four depth-1 Newton-Anderson methods
@@ -196,7 +199,7 @@ def test_criterion_05_gamma_optimality_oracle():
     """1000 random step pairs (dims 2-50): the closed-form coefficient beats
     every point of a 1e-5-spaced grid scan of the objective, and the
     optimization gain at the raw coefficient is minimal over the grid."""
-    from nasolve.diagnostics import theta_gain
+    from nasolve.linalg import theta_gain
 
     rng = np.random.default_rng(7321)
     offsets = np.arange(-50_000, 50_001) * 1e-5  # +-0.5 window at 1e-5 spacing
@@ -421,3 +424,37 @@ def test_criterion_12_determinism(tmp_path):
     for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes(), f"{a.name} differs between runs"
     _report("12 determinism", f"{len(first)} files bit-identical across reruns")
+
+
+# CLI cells whose every file has the same bytes on one and on two OpenBLAS
+# threads: the registry, and the five Newton-Anderson methods on heq and
+# multipoly.  heq's proj_lm does not hold yet: its J^T J and the low-rank
+# class's to_dense (two dgemm) take other trailing bits on one thread
+NA_FLAGS = [flag for m in MethodId if m is not MethodId.proj_lm for flag in ("--method", m.value)]
+THREAD_CELLS = {
+    "registry": ["--problem", "registry", "--r", "0.5"],
+    "heq": ["--problem", "heq", "--n", "300", "--omega", "1", *NA_FLAGS],
+    "multipoly": ["--problem", "multipoly", "--n", "2000", "--k", "3", *NA_FLAGS],
+}
+
+
+@pytest.mark.parametrize("cell", sorted(THREAD_CELLS))
+def test_criterion_12_across_blas_thread_counts(cell, tmp_path):
+    """The CLI writes the same files, and the same stdout, byte for byte,
+    on one and on two OpenBLAS threads.  Criterion 12 runs in one process,
+    so it never compares thread counts."""
+    runs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        argv = [sys.executable, "-m", "nasolve.cli", *THREAD_CELLS[cell], "--out", str(out_dir)]
+        done = subprocess.run(argv, env=_fresh_env(OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        runs.append((done.stdout, files))
+    (stdout1, files1), (stdout2, files2) = runs
+    assert stdout1 == stdout2
+    assert sorted(files1) == sorted(files2) and files1
+    for name in files1:
+        assert files1[name] == files2[name], f"{name} differs between 1 and 2 threads"
+    _report("12 thread counts", f"{cell}: {len(files1)} files and stdout identical on 1 and 2 threads")

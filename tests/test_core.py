@@ -1,3 +1,4 @@
+import ast
 import re
 import tracemalloc
 import types
@@ -324,3 +325,34 @@ def test_readme_python_block_runs(doc, capsys):
     exec(blocks[0], {})
     plain, fast = capsys.readouterr().out.splitlines()[0].split(" -> ")
     assert int(fast) < int(plain)
+
+
+# the package's layers, linalg <- core <- {problems, solvers} <- diagnostics,
+# with harness and cli on top: each module and the modules it may import
+LAYERS = {
+    "linalg": set(),
+    "core": {"linalg"},
+    "problems": {"core", "linalg"},
+    "solvers": {"core", "linalg"},
+    "diagnostics": {"core", "linalg", "solvers"},
+    "harness": {"core", "problems", "solvers"},
+    "cli": {"core", "harness", "problems", "solvers"},
+}
+
+
+def _relative_imports(source: str) -> set[str]:
+    """The package modules that a module's source imports relatively."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_modules_import_only_the_layers_below():
+    package = Path(nasolve.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+    upward = {name: sorted(_relative_imports((package / f"{name}.py").read_text()) - LAYERS[name])
+              for name in sorted(modules)}
+    assert upward == {name: [] for name in sorted(modules)}

@@ -3,27 +3,32 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nasolve import diagnostics
-from nasolve.core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig
+from nasolve import core
+from nasolve.core import IterationRecord, NonlinearProblem, SolveOutcome, SolverConfig, iterate_error
 from nasolve.diagnostics import (
     MissingGroundTruth,
     PairKind,
     PairLabel,
-    ZeroStep,
     diagnose_run,
     estimate_rate,
     estimate_root_order,
-    iterate_error,
+    with_ground_truth,
+)
+from nasolve.linalg import (
+    BAND_BLOCK,
+    DenseJacobian,
+    SingularMatrix,
+    ZeroStep,
+    lstsq_gamma,
+    norm2,
     theta_gain,
 )
-from nasolve.linalg import BAND_BLOCK, DenseJacobian, SingularMatrix, lstsq_gamma, norm2
 from nasolve.problems import (
     HEquationSpec,
     MultipolySpec,
     h_equation,
     multipoly,
     registry_entry,
-    with_ground_truth,
 )
 from nasolve.solvers import MethodId, solve
 
@@ -135,7 +140,7 @@ class TestSplitError:
         e = x - root
         c = p.null_basis.T @ e
         ranged = []
-        monkeypatch.setattr(diagnostics, "norm2", lambda v: ranged.append(v.copy()) or norm2(v))
+        monkeypatch.setattr(core, "norm2", lambda v: ranged.append(v.copy()) or norm2(v))
         (err,) = _recorded(p, [x], [])
         np.testing.assert_array_equal(_bits(err.null), _bits(c))
         np.testing.assert_array_equal(_bits(ranged[0]), _bits(e - p.null_basis @ c))
@@ -488,7 +493,7 @@ class TestRecordedGamma:
             calls.append(None)
             return lstsq_gamma(w, w_prev)
 
-        monkeypatch.setattr(diagnostics, "lstsq_gamma", counting)
+        monkeypatch.setattr(core, "lstsq_gamma", counting)
         p = registry_entry("Bullard-Biegler")
         p = replace(p, known_root=np.zeros(p.dim), null_basis=np.eye(p.dim)[:, :1])
         out = solve(p, MethodId.gamma_armijo_n_anderson, replace(SolverConfig(), r=0.5))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import nasolve
 from nasolve.core import SolverConfig
+from nasolve.diagnostics import with_ground_truth
 from nasolve.linalg import (
     BAND_BLOCK,
     EPS,
@@ -37,7 +38,6 @@ from nasolve.problems import (
     _int_power,
     h_equation,
     multipoly,
-    with_ground_truth,
 )
 from nasolve.solvers import MethodId, solve
 
@@ -971,13 +971,17 @@ def test_norm2_bit_identical_to_numpy_norm(label):
     assert got_warnings == want_warnings
 
 
-def _fresh_python(code: str, **environ: str) -> str:
-    """Run code in a new interpreter that imports this nasolve, with the
-    environment variables ``environ`` added; its stdout."""
+def _fresh_env(**environ: str) -> dict:
+    """The environment of a new interpreter that imports this nasolve, with
+    the environment variables ``environ`` added."""
     src = str(Path(nasolve.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src, **environ)
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src, **environ)
+
+
+def _fresh_python(code: str, **environ: str) -> str:
+    """Run code in a new interpreter under ``_fresh_env(**environ)``; its stdout."""
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=_fresh_env(**environ),
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout

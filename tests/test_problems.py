@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nasolve.core import NonlinearProblem, SolverConfig, validate_problem
+from nasolve.diagnostics import with_ground_truth
 from nasolve.linalg import EPS, DenseJacobian, UpperBidiagonalJacobian
 from nasolve.problems import (
     REGISTRY_NAMES,
@@ -18,7 +19,6 @@ from nasolve.problems import (
     h_equation,
     multipoly,
     registry_entry,
-    with_ground_truth,
 )
 from nasolve.solvers import MethodId, solve
 

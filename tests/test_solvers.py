@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import nasolve
 from nasolve import solvers
 from nasolve.core import STATUSES, STEP_KINDS, NonlinearProblem, SolverConfig
-from nasolve.diagnostics import theta_gain
+from nasolve.diagnostics import with_ground_truth
 from nasolve.linalg import (
     BAND_BLOCK,
     GRAM_BLOCK,
@@ -29,6 +29,7 @@ from nasolve.linalg import (
     lapack,
     lstsq_gamma,
     norm2,
+    theta_gain,
 )
 from nasolve.problems import (
     HEquationSpec,
@@ -36,7 +37,6 @@ from nasolve.problems import (
     h_equation,
     multipoly,
     registry_entry,
-    with_ground_truth,
 )
 from nasolve.solvers import (
     LINESEARCH_METHODS,
@@ -744,9 +744,10 @@ def _source_outside_docstrings(module) -> str:
 
 
 def test_solvers_hold_no_blas_or_lapack():
-    # every BLAS and LAPACK call of nasolve is made in linalg: no other module
-    # holds its handles, names a routine or calls np.linalg outside a
-    # docstring; the LM step reaches them only through damped_normal_solve
+    # every BLAS-3 and LAPACK call of nasolve is made in linalg: no other
+    # module holds its handles, names a routine or calls np.linalg outside a
+    # docstring (numpy's @ and .dot make BLAS-1/2 calls elsewhere); the LM
+    # step reaches them only through damped_normal_solve
     routines = r"\b(?:blas|lapack|d(?:gemm|gemv|syrk|posv|getr[fs]|tbtrs|tbsv|syevr))\b|np\.linalg\."
     names = sorted(m.name for m in pkgutil.iter_modules(nasolve.__path__) if m.name != "linalg")
     assert "solvers" in names and "problems" in names
